@@ -29,22 +29,20 @@
 // rerun of the same experiments starts from the previous run's full-compile
 // results (requires -cache on; -disk-cache-bytes caps the store).
 // -cpuprofile FILE writes a pprof CPU
-// profile of the whole run. -verify-each runs every experiment compile
-// under the phase-boundary verifier (internal/verify): tables are
-// unchanged — the verifier only observes — but wall-clock grows by the
-// verifier overhead and verified compiles bypass the compile cache.
-// -validate does the same with the translation validator (internal/tv):
-// every experiment compile is symbolically checked against its
-// pre-allocation MIR, and any divergence aborts the run with a T-rule
-// diagnostic.
+// profile of the whole run. -check L runs every experiment compile at
+// check level L (none | phases | validate | exec; see core.Check, each
+// level includes the lower ones). Tables are unchanged — checks only
+// observe — but wall-clock grows by the checking overhead, checked
+// compiles bypass the compile cache, and any violation aborts the run
+// with a rule diagnostic.
 //
 // -json FILE writes the machine-readable perf trajectory
 // (BENCH_pipeline.json): per-stage wall times and allocation counts, the
 // compile-cache hit rates of every sweep-backed stage, the raw
 // per-program sweep counts of RV#1/RV#2 when those experiments ran, and a
-// validate_overhead record — a hot kernel compiled with and without the
-// translation validator, whose wall-clock ratio pins the ≤2× overhead
-// bound the validator is designed to.
+// validate_overhead record — a hot kernel compiled at CheckValidate and at
+// CheckNone, whose wall-clock ratio is the cost of -check validate
+// (translation validator plus the phase-boundary verifier it includes).
 //
 // -sizes N1,N2,... runs the compile-time scaling sweep instead of the
 // paper experiments: for each size it generates random functions with that
@@ -123,9 +121,8 @@ type perfLog struct {
 	// per (suite, method) static metrics, cycles, cost scores, racer win
 	// attribution and the trained selector table.
 	Methods *experiments.MethodComparison `json:"methods,omitempty"`
-	// ValidateOverhead is the translation validator's relative cost on a
-	// hot kernel (compile wall with Options.Validate over without); the
-	// design bound is ratio ≤ 2.
+	// ValidateOverhead is the relative cost of CheckValidate on a hot
+	// kernel (compile wall at CheckValidate over CheckNone).
 	ValidateOverhead *overheadRecord `json:"validate_overhead,omitempty"`
 
 	// cache is the run-wide shared compile cache (nil under -cache off);
@@ -187,12 +184,9 @@ func main() {
 	diskBytes := flag.Int64("disk-cache-bytes", 1<<30, "on-disk store byte cap, mtime-LRU swept (0 = unlimited)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	sizes := flag.String("sizes", "", "comma-separated workload sizes: compile random functions of each size under bpc and report timings (skips the paper experiments)")
-	verifyEach := flag.Bool("verify-each", false, "run every experiment compile under the phase-boundary verifier (tables are unchanged; wall-clock grows by the verifier overhead)")
-	validate := flag.Bool("validate", false, "run every experiment compile under the translation validator (tables are unchanged; any symbolic divergence aborts the run)")
+	flag.Var(&experiments.Check, "check", "check `level` of every experiment compile: none | phases | validate | exec (tables are unchanged; wall-clock grows by the checking overhead)")
 	flag.Parse()
 	experiments.Workers = *parallel
-	experiments.VerifyEach = *verifyEach
-	experiments.Validate = *validate
 	switch *cacheMode {
 	case "on":
 		experiments.DisableCache = false
@@ -368,18 +362,18 @@ func main() {
 }
 
 // overheadRecord is the validate_overhead entry of the -json output: one
-// hot kernel compiled with and without the translation validator.
+// hot kernel compiled at CheckValidate and at CheckNone.
 type overheadRecord struct {
 	PlainNS     int64   `json:"plain_ns"`
 	ValidatedNS int64   `json:"validated_ns"`
 	Ratio       float64 `json:"ratio"`
 }
 
-// measureValidateOverhead compiles the largest CNN kernel with and without
-// the translation validator and reports the wall ratio. Both compiles run
-// uncached — validated compiles always bypass the compile cache, so a
-// cached plain baseline would overstate the ratio — and each mode takes
-// the minimum of three repetitions to damp scheduler noise.
+// measureValidateOverhead compiles the largest CNN kernel at CheckValidate
+// and at CheckNone and reports the wall ratio. Both compiles run uncached —
+// checked compiles always bypass the compile cache, so a cached plain
+// baseline would overstate the ratio — and each mode takes the minimum of
+// three repetitions to damp scheduler noise.
 func measureValidateOverhead() *overheadRecord {
 	var hot *ir.Func
 	for _, p := range workload.CNN().Programs {
@@ -389,12 +383,12 @@ func measureValidateOverhead() *overheadRecord {
 			}
 		}
 	}
-	best := func(validate bool) time.Duration {
+	best := func(level core.Check) time.Duration {
 		min := time.Hour
 		for i := 0; i < 3; i++ {
 			start := time.Now()
 			_, err := core.Compile(hot.Clone(), core.Options{
-				File: bankfile.RV2(2), Method: core.MethodBPC, Validate: validate,
+				File: bankfile.RV2(2), Method: core.MethodBPC, Check: level,
 			})
 			check(err)
 			if d := time.Since(start); d < min {
@@ -403,7 +397,7 @@ func measureValidateOverhead() *overheadRecord {
 		}
 		return min
 	}
-	plain, validated := best(false), best(true)
+	plain, validated := best(core.CheckNone), best(core.CheckValidate)
 	return &overheadRecord{
 		PlainNS:     plain.Nanoseconds(),
 		ValidatedNS: validated.Nanoseconds(),
@@ -431,10 +425,10 @@ func runSweepStage(perf *perfLog, name string, sweep func() (*experiments.Sweep,
 // interval counts and compile wall-clock. The single-function compile is
 // dominated by the overlap/pressure query engine once sizes reach the
 // thousands, so this sweep is the quickest way to see its scaling. Each
-// function is compiled three times — plain, under the phase-boundary
-// verifier, and under the translation validator — and the verify-ovh and
-// validate-ovh columns report the relative cost of -verify-each and
-// -validate; the plain compile is the baseline the zero-cost contract is
+// function is compiled three times — at CheckNone, CheckPhases and
+// CheckValidate — and the verify-ovh and validate-ovh columns report the
+// relative cost of -check phases and -check validate (which includes the
+// verifier) over CheckNone, the baseline the zero-cost contract is
 // measured against.
 func runSizes(spec string) {
 	const seedsPerSize = 3
@@ -468,11 +462,11 @@ func runSizes(spec string) {
 			mallocs += after.Mallocs - before.Mallocs
 			conflicts += res.Report.StaticConflicts
 			start = time.Now()
-			_, err = core.Compile(f, core.Options{File: file, Method: core.MethodBPC, VerifyEach: true})
+			_, err = core.Compile(f, core.Options{File: file, Method: core.MethodBPC, Check: core.CheckPhases})
 			check(err)
 			verified += time.Since(start)
 			start = time.Now()
-			_, err = core.Compile(f, core.Options{File: file, Method: core.MethodBPC, Validate: true})
+			_, err = core.Compile(f, core.Options{File: file, Method: core.MethodBPC, Check: core.CheckValidate})
 			check(err)
 			validated += time.Since(start)
 		}

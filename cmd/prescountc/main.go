@@ -25,16 +25,11 @@
 //	               recompiling the same kernels across invocations is a
 //	               disk read instead of a compile (requires -cache on)
 //	-disk-cache-bytes N  on-disk store byte cap (default 1 GiB)
-//	-verify-each   run the phase-boundary verifier between pipeline stages;
-//	               a rule violation aborts the compile with a diagnostic
-//	               naming the rule, function, block and instruction (note:
-//	               verified compiles bypass the compile cache)
-//	-validate      run the translation validator after allocation: the
-//	               allocated output is symbolically executed in lockstep
-//	               with the pre-allocation MIR and any value, store,
-//	               branch or memory divergence aborts the compile with a
-//	               T-rule diagnostic (validated compiles bypass the
-//	               compile cache, like -verify-each)
+//	-check L       none | phases | validate | exec (default none): the
+//	               phase-boundary verifier, plus the translation validator,
+//	               plus a before/after simulation. A violation aborts the
+//	               compile with a rule diagnostic; checked compiles bypass
+//	               the compile cache
 //
 // With no file arguments, prescountc reads one function from stdin.
 // Inputs are processed in command-line order, so reports and the -o module
@@ -85,8 +80,8 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	cacheMode := fs.String("cache", "on", "compile cache across input functions: on | off")
 	diskDir := fs.String("disk-cache", "", "directory for the persistent compile-result store (empty disables)")
 	diskBytes := fs.Int64("disk-cache-bytes", 1<<30, "on-disk store byte cap, mtime-LRU swept (0 = unlimited)")
-	verifyEach := fs.Bool("verify-each", false, "run the phase-boundary verifier between pipeline stages")
-	validate := fs.Bool("validate", false, "run the translation validator on the allocated output")
+	var check prescount.Check
+	fs.Var(&check, "check", "check `level`: none | phases (verifier between stages) | validate (+ translation validator) | exec (+ simulation)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -109,8 +104,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	}
 	opts := prescount.Options{
 		File: file, Method: m, Subgroups: *subgroups > 1,
-		ColoringTimeout: *coloringTimeout, VerifyEach: *verifyEach,
-		Validate: *validate,
+		ColoringTimeout: *coloringTimeout, Check: check,
 	}
 	switch *cacheMode {
 	case "on":

@@ -14,12 +14,12 @@ import (
 // server and prescountc use) and on into Compile must either return an
 // error or succeed — it must never panic or hang, because a single bad
 // request must not kill prescountd. The compile runs under the
-// phase-boundary verifier (Options.VerifyEach) as a second oracle: on an
+// phase-boundary verifier (check level CheckPhases) as a second oracle: on an
 // input that passed well-formedness, a rule diagnostic is a pipeline bug,
 // not an input problem, and fails the target. Plain inputs — no physical
 // FP registers, no spill pseudo-ops, the only shape the pipeline's
 // allocation contract covers — additionally run under the translation
-// validator (Options.Validate), so a fuzzed control-flow shape that
+// validator (CheckValidate), so a fuzzed control-flow shape that
 // miscompiles surfaces as a T-rule here even when every local V-rule
 // holds.
 func FuzzParseCompile(f *testing.F) {
@@ -38,7 +38,7 @@ func FuzzParseCompile(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
-	opts := prescount.Options{File: prescount.RV2(2), Method: prescount.MethodBPC, VerifyEach: true}
+	opts := prescount.Options{File: prescount.RV2(2), Method: prescount.MethodBPC, Check: prescount.CheckPhases}
 	f.Fuzz(func(t *testing.T, src string) {
 		m, err := prescount.ParseModule(src)
 		if err != nil {
@@ -54,7 +54,9 @@ func FuzzParseCompile(f *testing.F) {
 		for _, fn := range m.SortedFuncs() {
 			wellFormed := fn.Verify() == nil
 			fnOpts := opts
-			fnOpts.Validate = plainInput(fn)
+			if plainInput(fn) {
+				fnOpts.Check = prescount.CheckValidate
+			}
 			res, cerr := prescount.Compile(fn, fnOpts)
 			if cerr != nil {
 				var d *prescount.Diag

@@ -12,10 +12,11 @@ import (
 
 // warmAllocBudget bounds allocations per warm-path compile of the 500-instr
 // reference workload. The pre-refactor pipeline spent ~36,700 allocations
-// per compile; the pooled/bitset/SoA path measures ~1,150. The budget leaves
-// headroom for toolchain drift while still failing long before the old
-// one-map-per-pass behavior could sneak back (>30x under the baseline).
-const warmAllocBudget = 3600
+// per compile; the pooled/bitset/SoA path with the phase-table loop
+// measures ~1,135. The budget is that figure plus 10%: room for toolchain
+// drift, but a per-block or per-pass allocation pattern creeping back into
+// any phase fails it.
+const warmAllocBudget = 1250
 
 // TestCompileWarmAllocBudget is the CI allocation regression gate: once the
 // arenas and pools are warm, Compile must stay within warmAllocBudget

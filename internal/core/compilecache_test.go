@@ -143,7 +143,7 @@ func TestCacheDisabledForVerifySemantics(t *testing.T) {
 	f := workload.RandomSized(7, 40)
 	cache := compilecache.New()
 	opts := Options{File: bankfile.RV2(2), Method: MethodBPC, Cache: cache,
-		VerifySemantics: true, VerifyMemSize: 1 << 12}
+		Check: CheckExec, VerifyMemSize: 1 << 12}
 	if _, err := Compile(f, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestDigestSplit(t *testing.T) {
 	neutral := base
 	neutral.Workers = 7
 	neutral.Cache = compilecache.New()
-	neutral.VerifySemantics = true
+	neutral.Check = CheckExec
 	neutral.VerifyMemSize = 4096
 	if neutral.PrefixDigest() != base.PrefixDigest() || neutral.FullDigest() != base.FullDigest() {
 		t.Error("non-semantic options leaked into the digests")

@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"prescount/internal/bankfile"
 	"prescount/internal/compilecache"
 	"prescount/internal/ir"
+	"prescount/internal/tv"
 	"prescount/internal/workload"
 )
 
@@ -87,5 +89,47 @@ func TestCancelledCompileNotCached(t *testing.T) {
 	compareResults(t, "recompute-after-cancel", got, want)
 	if s := cache.Stats(); s.FullEntries != 1 {
 		t.Fatalf("cache retained %d full entries, want exactly the recomputed one", s.FullEntries)
+	}
+}
+
+// countingCtx counts its Err calls and reports a deadline expiry from the
+// expireAt-th call on (never, when expireAt is 0).
+type countingCtx struct {
+	context.Context
+	expireAt, calls int
+}
+
+func (c *countingCtx) Err() error {
+	c.calls++
+	if c.expireAt > 0 && c.calls >= c.expireAt {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestCancelBeforeValidate pins the cancellation point in front of the
+// end-to-end checks: a deadline that expires while the last pipeline phase
+// runs must stop the compile before the translation validator starts,
+// rather than after the request has paid for it.
+func TestCancelBeforeValidate(t *testing.T) {
+	f := hotConflicts(t)
+	opts := Options{File: bankfile.RV2(2), Method: MethodBPC, Check: CheckValidate}
+	probe := &countingCtx{Context: context.Background()}
+	if _, err := CompileContext(probe, f, opts); err != nil {
+		t.Fatal(err)
+	}
+	// validate is the last enabled phase, so its cancellation point is the
+	// final Err call of a clean compile.
+	ctx := &countingCtx{Context: context.Background(), expireAt: probe.calls}
+	before := tv.ChecksRun()
+	_, err := CompileContext(ctx, f, opts)
+	if err == nil || !strings.Contains(err.Error(), "cancelled before validate") {
+		t.Fatalf("got %v, want a cancellation before validate", err)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("error %v does not wrap context.DeadlineExceeded", err)
+	}
+	if got := tv.ChecksRun(); got != before {
+		t.Errorf("cancelled compile still ran %d validator checks", got-before)
 	}
 }

@@ -96,33 +96,10 @@ type Options struct {
 	// receive from the binpacking allocator (MethodBinpack only; 0 selects
 	// the default).
 	BinpackMaxRescues int
-	// VerifySemantics simulates the function before and after compilation
-	// and fails on divergent memory images (slow; meant for tests).
-	VerifySemantics bool
-	// VerifyMemSize is the memory size for semantic verification.
+	// Check selects how much checking the compile performs (see Check).
+	Check Check
+	// VerifyMemSize is the memory size of CheckExec's simulations.
 	VerifyMemSize int
-	// VerifyEach runs the phase-boundary static verifier (internal/verify)
-	// between every pipeline stage: structural well-formedness and
-	// def-before-use/trip-count deltas after each prefix phase, scheduling
-	// dependence preservation, liveness-cache agreement and bank-constraint
-	// satisfaction before/after allocation, allocation soundness, and a
-	// from-scratch reproduction of the conflict report. Failures surface as
-	// *ir.Diag errors naming the violated rule. Off by default: the
-	// verifier clones, recomputes analyses and scans quadratically, so it
-	// is strictly zero-cost when disabled. Like VerifySemantics it bypasses
-	// opts.Cache (checks must actually run) and never enters a cache key.
-	VerifyEach bool
-	// Validate runs the translation validator (internal/tv) on the
-	// finished compile: the input MIR and the allocated output are
-	// executed symbolically over a shared value-number space, and any
-	// use, store or branch whose resolved value diverges from the
-	// reference fails the compile with a *ir.Diag naming the violated
-	// T-rule. Complementary to VerifyEach (local phase invariants) and
-	// VerifySemantics (one concrete execution): Validate proves value
-	// equivalence over all paths. Off by default and strictly zero-cost
-	// when disabled; like the other Verify* modes it bypasses opts.Cache
-	// (the check must actually run) and never enters a cache key.
-	Validate bool
 	// Workers bounds CompileModule's concurrency: 0 means
 	// runtime.GOMAXPROCS(0), 1 forces the serial path. Compile itself is
 	// always single-threaded; functions are independent pipeline units.
@@ -133,17 +110,63 @@ type Options struct {
 	// (coalescing → SDG splitting → scheduling) is reused across compiles
 	// that differ only in suffix options (File, Method, THRES, ablations).
 	// Cached Results are shared across callers and must not be mutated.
-	// Ignored when VerifySemantics is set (verification must actually run).
-	// Cache, Workers and the Verify* fields never enter the cache key.
+	// Cache, Workers, Check and VerifyMemSize never enter the cache key.
 	Cache *compilecache.Cache
 	// Prior, when non-nil, enables function-level incremental recompiles in
 	// CompileModule: any function whose ir.Fingerprint appears in the prior
 	// and whose options digest matches Prior.Digest reuses the prior Result
 	// without compiling (results are immutable and shared, with the same
 	// name-rematerialization rule as a cache hit). A digest mismatch
-	// disables the prior entirely. Like Cache it is ignored under
-	// VerifySemantics/VerifyEach/Validate and never enters a cache key.
+	// disables the prior entirely. Like Cache it is ignored when checking
+	// and never enters a cache key.
 	Prior *ModulePrior
+}
+
+// Check is the checking level of a compile. Levels are ordered and
+// cumulative: each runs every lower level's checks too. Checks only
+// observe, so the compiled output is the same at every level; any level
+// above CheckNone bypasses Options.Cache and Options.Prior (the checks must
+// actually run) and yields no ModulePrior.
+type Check uint8
+
+const (
+	// CheckNone runs no checks and is strictly zero-cost: verify.ChecksRun
+	// and tv.ChecksRun do not move.
+	CheckNone Check = iota
+	// CheckPhases runs the phase-boundary verifier (internal/verify) around
+	// every Figure-4 phase (the before/after hooks of the pipeline table);
+	// failures are *ir.Diag errors naming the violated V-rule.
+	CheckPhases
+	// CheckValidate adds the translation validator (internal/tv), a symbolic
+	// value-equivalence check of the output against the input; failures are
+	// *ir.Diag errors naming the violated T-rule.
+	CheckValidate
+	// CheckExec adds one concrete execution: the function is simulated
+	// before and after compilation and divergent memory images fail the
+	// compile (slow; meant for tests).
+	CheckExec
+)
+
+var checkNames = [...]string{"none", "phases", "validate", "exec"}
+
+// String returns the level's name, as Set accepts it.
+func (c Check) String() string {
+	if int(c) < len(checkNames) {
+		return checkNames[c]
+	}
+	return fmt.Sprintf("Check(%d)", uint8(c))
+}
+
+// Set parses a level name ("none", "phases", "validate", "exec"), making
+// *Check a flag.Value.
+func (c *Check) Set(s string) error {
+	for i, n := range checkNames {
+		if n == s {
+			*c = Check(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown check level %q (want none, phases, validate or exec)", s)
 }
 
 // ModulePrior is the reusable outcome of a prior CompileModule run: the
@@ -226,41 +249,13 @@ func CompileContext(ctx context.Context, f *ir.Func, opts Options) (*Result, err
 			return nil, fmt.Errorf("core: method %v selects its own allocator, incompatible with LinearScan", opts.Method)
 		}
 	}
-	if opts.Cache != nil && !opts.VerifySemantics && !opts.VerifyEach && !opts.Validate {
+	if opts.Cache != nil && opts.Check == CheckNone {
 		return compileCached(ctx, f, opts)
 	}
-
-	work := f.Clone()
-	// One analysis cache serves every phase: CFG, liveness and the RCG are
-	// computed at most once per IR mutation generation, and phases that
-	// rewrite instructions without touching control flow retain the CFG —
-	// a full compile runs cfg.Compute exactly once. The scratch arena backs
-	// the liveness bitsets for exactly this compile; Put resets it and
-	// recycles the slab for the worker's next compile.
-	ar := scratch.Get()
-	defer scratch.Put(ar)
-	ac := analysis.NewWithArena(work, ar)
-	res := &Result{}
-	if err := runPrefix(ctx, work, ac, opts, res); err != nil {
-		return nil, err
-	}
-	if err := runSuffix(ctx, work, ac, opts, res); err != nil {
-		return nil, err
-	}
-	if opts.VerifySemantics {
-		if err := verifySemantics(f, work, opts); err != nil {
-			return nil, err
-		}
-	}
-	if opts.Validate {
-		if err := tv.Check(f, res.Func, opts.File.Normalize().NumRegs); err != nil {
-			return nil, fmt.Errorf("core: %s: translation validation: %w", f.Name, err)
-		}
-	}
-	return res, nil
+	return runPhases(ctx, f, &Result{Func: f}, true, opts, pipeline)
 }
 
-/// checkInputBounds rejects inputs whose pre-assigned physical FP
+// checkInputBounds rejects inputs whose pre-assigned physical FP
 // registers fall outside opts.File before any phase runs. ir.Func.Verify
 // cannot check this — structural well-formedness is file-independent —
 // and letting such a function through would either trip the verifier's
@@ -271,16 +266,12 @@ func checkInputBounds(f *ir.Func, opts Options) error {
 	limit := opts.File.Normalize().NumRegs
 	for _, b := range f.Blocks {
 		for i, in := range b.Instrs {
-			for _, r := range in.Defs {
-				if r.IsFPR() && r.FPRIndex() >= limit {
-					return fmt.Errorf("core: input: %s/%s#%d: physical FP register %v outside the %d-register file",
-						f.Name, b.Name, i, r, limit)
-				}
-			}
-			for _, r := range in.Uses {
-				if r.IsFPR() && r.FPRIndex() >= limit {
-					return fmt.Errorf("core: input: %s/%s#%d: physical FP register %v outside the %d-register file",
-						f.Name, b.Name, i, r, limit)
+			for _, regs := range [2][]ir.Reg{in.Defs, in.Uses} {
+				for _, r := range regs {
+					if r.IsFPR() && r.FPRIndex() >= limit {
+						return fmt.Errorf("core: input: %s/%s#%d: physical FP register %v outside the %d-register file",
+							f.Name, b.Name, i, r, limit)
+					}
 				}
 			}
 		}
@@ -288,244 +279,279 @@ func checkInputBounds(f *ir.Func, opts Options) error {
 	return nil
 }
 
-// phaseCheck is the per-phase cancellation point: it returns a wrapped
-// ctx.Err() naming the function and the phase about to run.
-func phaseCheck(ctx context.Context, f *ir.Func, phase string) error {
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("core: %s: cancelled before %s: %w", f.Name, phase, err)
-	}
-	return nil
+// phase is one pipeline-table entry. before and after are the verifier's
+// brackets (CheckPhases and above); retainsCFG keeps the analysis cache's
+// CFG across a phase that rewrites instructions but not control flow.
+type phase struct {
+	name       string
+	enabled    func(*Options) bool // nil: always runs
+	run        func(*compileState) error
+	retainsCFG bool
+	before     func(*compileState) error
+	after      func(*compileState) error
 }
 
-// verifyErr wraps a phase-boundary verifier failure with the function and
-// phase it fired after; the underlying *ir.Diag (rule ID, location) stays
-// recoverable through errors.As.
-func verifyErr(f *ir.Func, phase string, err error) error {
-	if err == nil {
-		return nil
-	}
-	return fmt.Errorf("core: %s: verify after %s: %w", f.Name, phase, err)
+// compileState is what the phases of one runPhases call share.
+type compileState struct {
+	ctx  context.Context
+	in   *ir.Func // the caller's input: the end-to-end checks' reference
+	work *ir.Func
+	ac   *analysis.Cache
+	opts Options
+	res  *Result
+	at   string // name of the running phase
+
+	banks *assign.Result // bank assignment, consumed by regalloc
+	// Verifier state: the pre-phase snapshot of the delta checks and the
+	// pre-allocation entry-live-in set of the allocation checks.
+	snap     *verify.Snapshot
+	preEntry map[ir.Reg]bool
 }
 
-// runPrefix executes the method-independent prefix of the Figure-4 pipeline
-// in place on work: register coalescing, SDG-based subgroup splitting (DSA
-// only; positioned after coalescing so splitting copies are not
-// re-coalesced) and pre-allocation scheduling. Only the options covered by
-// PrefixDigest influence it.
-func runPrefix(ctx context.Context, work *ir.Func, ac *analysis.Cache, opts Options, res *Result) error {
-	// Under VerifyEach, every phase is bracketed by a snapshot and a delta
-	// check: structural well-formedness, trip-count preservation and
-	// no-new-undefined-reads after each phase, plus the dependence-order
-	// audit for the scheduler. snap stays nil when disabled — the verifier
-	// must cost nothing on the production path.
-	var snap *verify.Snapshot
-	// Phase 1: register coalescing.
-	if !opts.DisableCoalesce {
-		if err := phaseCheck(ctx, work, "coalesce"); err != nil {
-			return err
-		}
-		if opts.VerifyEach {
-			snap = verify.Capture(work)
-		}
-		res.Coalesce = coalesce.RunCached(work, ac)
-		if opts.VerifyEach {
-			if err := verifyErr(work, "coalesce", verify.WellFormed(work)); err != nil {
-				return err
-			}
-			if err := verifyErr(work, "coalesce", snap.CheckDelta(work, "coalesce")); err != nil {
-				return err
-			}
-		}
-	}
-	// Phase 2 (DSA only): SDG-based subgroup splitting.
-	if opts.Subgroups {
-		if err := phaseCheck(ctx, work, "sdg-split"); err != nil {
-			return err
-		}
-		if opts.VerifyEach {
-			snap = verify.Capture(work)
-		}
-		res.SDG = sdg.Split(work, sdg.Options{MaxGroup: opts.SDGMaxGroup})
-		ac.RetainCFG() // splitting only inserts copies and renames ranges
-		if opts.VerifyEach {
-			if err := verifyErr(work, "sdg-split", verify.WellFormed(work)); err != nil {
-				return err
-			}
-			if err := verifyErr(work, "sdg-split", snap.CheckDelta(work, "sdg-split")); err != nil {
-				return err
-			}
-		}
-	}
-	// Phase 3: pre-allocation scheduling.
-	if !opts.DisableSched {
-		if err := phaseCheck(ctx, work, "sched"); err != nil {
-			return err
-		}
-		if opts.VerifyEach {
-			snap = verify.Capture(work)
-		}
-		res.Sched = sched.Run(work)
-		ac.RetainCFG() // scheduling reorders within blocks only
-		if opts.VerifyEach {
-			if err := verifyErr(work, "sched", verify.WellFormed(work)); err != nil {
-				return err
-			}
-			if err := verifyErr(work, "sched", snap.CheckDelta(work, "sched")); err != nil {
-				return err
-			}
-			if err := verifyErr(work, "sched", snap.CheckSched(work)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
+// Layer boundaries in pipeline: the compile cache memoizes the prefix
+// pipeline[:allocStart] and, for bank-oblivious methods, the allocation
+// pipeline[allocStart:postStart]; pipeline[postStart:] reads the full File
+// and reruns per sweep point.
+const allocStart, postStart = 3, 5
 
-// runSuffix executes the bank-aware tail of the pipeline on the
-// post-scheduling function: RCG-based bank assignment (bpc), enhanced
-// register allocation, post-allocation renumbering (brc) and the conflict
-// analysis. It fills the remaining fields of res.
-func runSuffix(ctx context.Context, work *ir.Func, ac *analysis.Cache, opts Options, res *Result) error {
-	if err := runAlloc(ctx, work, ac, opts, res); err != nil {
-		return err
-	}
-	return runPost(ctx, work, ac, opts, res)
-}
-
-// runAlloc executes the allocation half of the suffix — RCG-based bank
-// assignment (bpc only) and enhanced register allocation — in place on
-// work, filling res.Alloc and res.BankAssignForced. For the bank-oblivious
-// methods (non, and brc whose allocation phase is mapped to non below) the
-// result depends only on the options covered by AllocDigest, which is what
-// lets the cache's alloc layer share it across bank counts.
-func runAlloc(ctx context.Context, work *ir.Func, ac *analysis.Cache, opts Options, res *Result) error {
-	// Phase 4 (bpc only): RCG-based bank assignment. It reuses the live
-	// range information and does not modify the IR, so the liveness pulled
-	// here stays valid for Phase 5's allocator.
-	raOpts := regalloc.Options{
-		Cfg: opts.File, Method: opts.Method, Analyses: ac,
-		ColoringTimeout: opts.ColoringTimeout, BinpackMaxRescues: opts.BinpackMaxRescues,
-	}
-	if opts.Method == MethodBPC {
-		if err := phaseCheck(ctx, work, "bank-assign"); err != nil {
-			return err
-		}
-		ares := assign.PresCount(work, ac.RCG(), ac.Liveness(), opts.File.Normalize(), assign.Options{
-			THRES:            opts.THRES,
-			DisablePressure:  opts.DisablePressure,
-			DisableFreeHints: opts.DisableFreeHints,
-		})
-		if opts.VerifyEach {
-			if err := verifyErr(work, "bank-assign", verify.CheckBankAssignment(work, ac.RCG(), ares, opts.File)); err != nil {
+// pipeline is the paper's Figure-4 sequence followed by the end-to-end
+// checks. runPhases executes any slice of it.
+var pipeline = []phase{
+	{
+		name:    "coalesce",
+		enabled: func(o *Options) bool { return !o.DisableCoalesce },
+		run: func(st *compileState) error {
+			st.res.Coalesce = coalesce.RunCached(st.work, st.ac)
+			return nil
+		},
+		before: capture,
+		after:  checkDelta,
+	},
+	{
+		// DSA only; after coalescing so splitting copies are not re-coalesced.
+		name:    "sdg-split",
+		enabled: func(o *Options) bool { return o.Subgroups },
+		run: func(st *compileState) error {
+			st.res.SDG = sdg.Split(st.work, sdg.Options{MaxGroup: st.opts.SDGMaxGroup})
+			return nil
+		},
+		retainsCFG: true, // splitting only inserts copies and renames ranges
+		before:     capture,
+		after:      checkDelta,
+	},
+	{
+		name:    "sched",
+		enabled: func(o *Options) bool { return !o.DisableSched },
+		run: func(st *compileState) error {
+			st.res.Sched = sched.Run(st.work)
+			return nil
+		},
+		retainsCFG: true, // scheduling reorders within blocks only
+		before:     capture,
+		after: func(st *compileState) error {
+			if err := checkDelta(st); err != nil {
 				return err
 			}
-		}
-		raOpts.BankOf = ares.BankOf
-		raOpts.FreeHints = ares.FreeHints
-		res.BankAssignForced = len(ares.Forced)
-	}
-	if opts.Subgroups {
-		raOpts.SubgroupGroups = sdg.Build(work).GroupOf()
-	}
-
-	// Phase 5: enhanced register allocation. The brc baseline allocates
-	// bank-obliviously and fixes conflicts afterwards by renumbering.
-	if err := phaseCheck(ctx, work, "regalloc"); err != nil {
-		return err
-	}
-	if raOpts.Method == MethodBRC {
-		raOpts.Method = MethodNon
-	}
-	var preEntry map[ir.Reg]bool
-	if opts.VerifyEach {
+			return st.snap.CheckSched(st.work)
+		},
+	},
+	{
+		// bpc only. Reads the live ranges without modifying the IR, so the
+		// liveness pulled here stays valid for the allocator.
+		name:    "bank-assign",
+		enabled: func(o *Options) bool { return o.Method == MethodBPC },
+		run: func(st *compileState) error {
+			st.banks = assign.PresCount(st.work, st.ac.RCG(), st.ac.Liveness(), st.opts.File.Normalize(), assign.Options{
+				THRES:            st.opts.THRES,
+				DisablePressure:  st.opts.DisablePressure,
+				DisableFreeHints: st.opts.DisableFreeHints,
+			})
+			st.res.BankAssignForced = len(st.banks.Forced)
+			return nil
+		},
+		after: func(st *compileState) error {
+			return verify.CheckBankAssignment(st.work, st.ac.RCG(), st.banks, st.opts.File)
+		},
+	},
+	{
+		name: "regalloc",
+		run: func(st *compileState) error {
+			o := &st.opts
+			ra := regalloc.Options{
+				Cfg: o.File, Method: o.Method, Analyses: st.ac,
+				ColoringTimeout: o.ColoringTimeout, BinpackMaxRescues: o.BinpackMaxRescues,
+				Record: o.Check >= CheckPhases, // read by the allocation checks
+			}
+			if st.banks != nil {
+				ra.BankOf, ra.FreeHints = st.banks.BankOf, st.banks.FreeHints
+			}
+			if o.Subgroups {
+				ra.SubgroupGroups = sdg.Build(st.work).GroupOf()
+			}
+			// The brc baseline allocates bank-obliviously and fixes conflicts
+			// afterwards by renumbering.
+			if ra.Method == MethodBRC {
+				ra.Method = MethodNon
+			}
+			var err error
+			switch {
+			case o.Method == MethodBinpack:
+				st.res.Alloc, err = regalloc.RunBinpack(st.work, ra)
+			case o.Method == MethodColoring:
+				st.res.Alloc, err = regalloc.RunColoring(st.ctx, st.work, ra)
+			case o.LinearScan:
+				st.res.Alloc, err = regalloc.RunLinearScan(st.work, ra)
+			default:
+				st.res.Alloc, err = regalloc.Run(st.work, ra)
+			}
+			return err
+		},
 		// The allocator is the main consumer of the cached liveness: audit
 		// the cache against a from-scratch recompute before handing it over,
-		// record the allocation for the soundness checks, and capture the
-		// pre-allocation entry-live-in set so a dropped reload is
+		// and capture the entry-live-in set so a dropped reload is
 		// distinguishable from an input the program reads undefined.
-		if err := verifyErr(work, "liveness-cache", verify.CheckLiveness(work, ac)); err != nil {
-			return err
-		}
-		raOpts.Record = true
-		preEntry = verify.EntryLive(work)
-	}
-	run := regalloc.Run
-	switch {
-	case opts.Method == MethodBinpack:
-		run = regalloc.RunBinpack
-	case opts.Method == MethodColoring:
-		run = func(f *ir.Func, o regalloc.Options) (*regalloc.Result, error) {
-			return regalloc.RunColoring(ctx, f, o)
-		}
-	case opts.LinearScan:
-		run = regalloc.RunLinearScan
-	}
-	alloc, err := run(work, raOpts)
-	if err != nil {
-		return fmt.Errorf("core: %s: %w", work.Name, err)
-	}
-	res.Alloc = alloc
-	if opts.VerifyEach {
-		if err := verifyErr(work, "regalloc", verify.WellFormed(work)); err != nil {
-			return err
-		}
-		if err := verifyErr(work, "regalloc", verify.CheckAllocation(work, opts.File, alloc, preEntry)); err != nil {
-			return err
-		}
-	}
+		before: func(st *compileState) error {
+			if err := verify.CheckLiveness(st.work, st.ac); err != nil {
+				return err
+			}
+			st.preEntry = verify.EntryLive(st.work)
+			return nil
+		},
+		after: func(st *compileState) error {
+			if err := verify.WellFormed(st.work); err != nil {
+				return err
+			}
+			return verify.CheckAllocation(st.work, st.opts.File, st.res.Alloc, st.preEntry)
+		},
+	},
+	{
+		// brc only: global renumbering over the physical-register conflict
+		// graph, reusing the CFG retained through the allocator's rewrite.
+		name:    "renumber",
+		enabled: func(o *Options) bool { return o.Method == MethodBRC },
+		run: func(st *compileState) error {
+			st.res.Renumber = renumber.Run(st.work, st.opts.File, st.ac.CFG())
+			return nil
+		},
+		retainsCFG: true, // renumbering permutes registers, never blocks
+		// The recorded assignments no longer describe the permuted code;
+		// re-check structure and file bounds only.
+		after: func(st *compileState) error {
+			if err := verify.WellFormed(st.work); err != nil {
+				return err
+			}
+			return verify.CheckPhysBounds(st.work, st.opts.File)
+		},
+	},
+	{
+		name: "conflict-analysis",
+		run: func(st *compileState) error {
+			st.res.Report = conflict.AnalyzeWith(st.work, st.opts.File, st.ac.CFG())
+			return nil
+		},
+		after: func(st *compileState) error {
+			return verify.CheckReport(st.work, st.opts.File, st.res.Report)
+		},
+	},
+	{
+		name:    "validate",
+		enabled: func(o *Options) bool { return o.Check >= CheckValidate },
+		run: func(st *compileState) error {
+			if err := tv.Check(st.in, st.work, st.opts.File.Normalize().NumRegs); err != nil {
+				return fmt.Errorf("translation validation: %w", err)
+			}
+			return nil
+		},
+	},
+	{
+		name:    "exec",
+		enabled: func(o *Options) bool { return o.Check >= CheckExec },
+		run:     checkExec,
+	},
+}
+
+// capture and checkDelta bracket the prefix phases: checkDelta checks
+// structural well-formedness, trip-count preservation and no new undefined
+// reads against the snapshot capture took.
+func capture(st *compileState) error {
+	st.snap = verify.Capture(st.work)
 	return nil
 }
 
-// runPost executes the post-allocation tail — renumbering (brc only) and
-// the per-bank conflict analysis — on the allocated function, filling
-// res.Renumber, res.Func and res.Report. Unlike the allocation it always
-// reads the full File (bank count, read ports), so it reruns per sweep
-// point even when the allocation itself was an alloc-layer hit.
-func runPost(ctx context.Context, work *ir.Func, ac *analysis.Cache, opts Options, res *Result) error {
-	// Post-allocation phase (brc only): global register renumbering over
-	// the physical-register conflict graph. The CFG retained through the
-	// allocator's rewrite is reused here and again by the conflict
-	// analysis below (renumbering permutes registers, never blocks).
-	if opts.Method == MethodBRC {
-		if err := phaseCheck(ctx, work, "renumber"); err != nil {
-			return err
-		}
-		res.Renumber = renumber.Run(work, opts.File, ac.CFG())
-		ac.RetainCFG()
-		if opts.VerifyEach {
-			// Renumbering permutes physical registers, so the recorded
-			// assignments no longer describe the code; re-check structure
-			// and file bounds only.
-			if err := verifyErr(work, "renumber", verify.WellFormed(work)); err != nil {
-				return err
-			}
-			if err := verifyErr(work, "renumber", verify.CheckPhysBounds(work, opts.File)); err != nil {
-				return err
-			}
-		}
-	}
-	if err := phaseCheck(ctx, work, "conflict-analysis"); err != nil {
+func checkDelta(st *compileState) error {
+	if err := verify.WellFormed(st.work); err != nil {
 		return err
 	}
-	res.Func = work
-	res.Report = conflict.AnalyzeWith(work, opts.File, ac.CFG())
-	if opts.VerifyEach {
-		if err := verifyErr(work, "conflict-analysis", verify.CheckReport(work, opts.File, res.Report)); err != nil {
-			return err
-		}
+	return st.snap.CheckDelta(st.work, st.at)
+}
+
+// checkExec simulates the input and the compiled function and fails on
+// divergent memory images.
+func checkExec(st *compileState) error {
+	memSize := st.opts.VerifyMemSize
+	if memSize == 0 {
+		memSize = 1 << 16
+	}
+	before, err := sim.Run(st.in, sim.Options{MemSize: memSize})
+	if err != nil {
+		return fmt.Errorf("simulating original: %w", err)
+	}
+	after, err := sim.Run(st.work, sim.Options{MemSize: memSize, File: st.opts.File})
+	if err != nil {
+		return fmt.Errorf("simulating allocated: %w", err)
+	}
+	if before.MemChecksum != after.MemChecksum {
+		return fmt.Errorf("allocation changed semantics (checksum %x -> %x)", before.MemChecksum, after.MemChecksum)
 	}
 	return nil
 }
 
-// prefixSnapshot is the immutable post-scheduling state stored in the
-// cache's prefix layer: the transformed function plus the prefix phases'
-// statistics. The function is never handed out directly — every consumer
-// clones it — so the snapshot stays pristine.
-type prefixSnapshot struct {
-	fn       *ir.Func
-	coalesce coalesce.Stats
-	sdg      sdg.Stats
-	sched    sched.Stats
+// runPhases runs phases on from, a partial Result (the stats of the phases
+// run so far, Func the function after them), and returns the extended copy;
+// from may be a shared cache snapshot and is never modified. With clone set
+// the phases transform a private clone of from.Func named in.Name;
+// otherwise they must only read it. One analysis cache on a pooled arena
+// serves every phase, computing CFG, liveness and RCG at most once per IR
+// mutation generation; the arena is recycled on return.
+func runPhases(ctx context.Context, in *ir.Func, from *Result, clone bool, opts Options, phases []phase) (*Result, error) {
+	res := *from
+	work := from.Func
+	if clone {
+		work = work.Clone()
+		work.Name = in.Name
+	}
+	ar := scratch.Get()
+	defer scratch.Put(ar)
+	st := &compileState{ctx: ctx, in: in, work: work, ac: analysis.NewWithArena(work, ar), opts: opts, res: &res}
+	checking := opts.Check >= CheckPhases
+	for i := range phases {
+		p := &phases[i]
+		if p.enabled != nil && !p.enabled(&st.opts) {
+			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("core: %s: cancelled before %s: %w", work.Name, p.name, err)
+		}
+		st.at = p.name
+		if checking && p.before != nil {
+			if err := p.before(st); err != nil {
+				return nil, fmt.Errorf("core: %s: verify before %s: %w", work.Name, p.name, err)
+			}
+		}
+		if err := p.run(st); err != nil {
+			return nil, fmt.Errorf("core: %s: %w", work.Name, err)
+		}
+		if p.retainsCFG {
+			st.ac.RetainCFG()
+		}
+		if checking && p.after != nil {
+			if err := p.after(st); err != nil {
+				return nil, fmt.Errorf("core: %s: verify after %s: %w", work.Name, p.name, err)
+			}
+		}
+	}
+	res.Func = work
+	return &res, nil
 }
 
 // funcBytes estimates the memory retained by a cached function, for the
@@ -543,18 +569,24 @@ func funcBytes(f *ir.Func) int64 {
 	return n + 8*int64(len(f.VRegs))
 }
 
+// cacheEntry adapts a compile outcome to a cache entry sized by funcBytes.
+func cacheEntry(res *Result, err error) (any, int64, error) {
+	if err != nil {
+		return nil, 0, err
+	}
+	return res, funcBytes(res.Func), nil
+}
+
 // compileCached is the memoized compile path. Layer 1 dedups identical
 // (fingerprint, full options) compiles; layer 2 memoizes the pipeline
-// prefix under (fingerprint, prefix options).
+// prefix under (fingerprint, prefix options). The prefix and alloc layers
+// store partial Results (see runPhases) that consumers clone before
+// mutating, so the snapshots stay pristine.
 func compileCached(ctx context.Context, f *ir.Func, opts Options) (*Result, error) {
 	fp := f.Fingerprint()
 	fullKey := compilecache.Key{Fingerprint: fp, Digest: opts.FullDigest()}
 	v, _, err := opts.Cache.Full(fullKey, func() (any, int64, error) {
-		res, err := compileViaPrefix(ctx, f, fp, opts)
-		if err != nil {
-			return nil, 0, err
-		}
-		return res, funcBytes(res.Func), nil
+		return cacheEntry(compileViaPrefix(ctx, f, fp, opts))
 	})
 	if err != nil {
 		return nil, err
@@ -587,118 +619,45 @@ func renamedResult(res *Result, name string) *Result {
 func compileViaPrefix(ctx context.Context, f *ir.Func, fp ir.Fingerprint, opts Options) (*Result, error) {
 	prefixKey := compilecache.Key{Fingerprint: fp, Digest: opts.PrefixDigest()}
 	v, _, err := opts.Cache.Prefix(prefixKey, func() (any, int64, error) {
-		work := f.Clone()
-		// The snapshot retains work (fresh heap from Clone) but none of its
-		// analyses, so the arena can be released at closure end.
-		ar := scratch.Get()
-		defer scratch.Put(ar)
-		ac := analysis.NewWithArena(work, ar)
-		var pres Result
-		if err := runPrefix(ctx, work, ac, opts, &pres); err != nil {
-			return nil, 0, err
-		}
-		return &prefixSnapshot{fn: work, coalesce: pres.Coalesce, sdg: pres.SDG, sched: pres.Sched},
-			funcBytes(work), nil
+		return cacheEntry(runPhases(ctx, f, &Result{Func: f}, true, opts, pipeline[:allocStart]))
 	})
 	if err != nil {
 		return nil, err
 	}
-	snap := v.(*prefixSnapshot)
+	psnap := v.(*Result)
 	if allocCacheable(opts) {
-		return compileViaAlloc(ctx, f, fp, opts, snap)
+		return compileViaAlloc(ctx, f, fp, opts, psnap)
 	}
-	work := snap.fn.Clone()
-	// The snapshot may carry another symbol name; the clone is private to
-	// this compile, so renaming is safe and keeps diagnostics and the
-	// materialized Result.Func correct.
-	work.Name = f.Name
-	res := &Result{Coalesce: snap.coalesce, SDG: snap.sdg, Sched: snap.sched}
-	ar := scratch.Get()
-	defer scratch.Put(ar)
-	if err := runSuffix(ctx, work, analysis.NewWithArena(work, ar), opts, res); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return runPhases(ctx, f, psnap, true, opts, pipeline[allocStart:])
 }
 
 // allocCacheable reports whether opts selects a bank-oblivious allocation:
 // methods non and brc never consult the bank count before the
-// post-allocation phases (brc's allocation phase is mapped to non in
-// runAlloc), so their allocation can be keyed by AllocDigest and shared
-// across bank sweeps. The subgroup path feeds displacement hints into the
-// allocator, which do read bank geometry, so it stays on the plain path.
+// post-allocation phases (the regalloc phase maps brc to non), so their
+// allocation can be keyed by AllocDigest and shared across bank sweeps.
+// The subgroup path feeds displacement hints into the allocator, which do
+// read bank geometry, so it stays on the plain path.
 func allocCacheable(opts Options) bool {
 	return (opts.Method == MethodNon || opts.Method == MethodBRC) && !opts.Subgroups
-}
-
-// allocSnapshot is the immutable post-allocation state stored in the
-// cache's alloc layer: the allocated (pre-renumbering) function plus the
-// allocator's statistics. Like the prefix snapshot it is never mutated —
-// brc consumers clone it before renumbering, and non consumers share it
-// (conflict analysis is read-only).
-type allocSnapshot struct {
-	fn     *ir.Func
-	alloc  *regalloc.Result
-	forced int
 }
 
 // compileViaAlloc compiles f reusing (or populating) the alloc layer with
 // the bank-oblivious allocation, then runs the cheap bank-aware tail
 // (renumbering for brc, conflict analysis) for this sweep point.
-func compileViaAlloc(ctx context.Context, f *ir.Func, fp ir.Fingerprint, opts Options, psnap *prefixSnapshot) (*Result, error) {
+func compileViaAlloc(ctx context.Context, f *ir.Func, fp ir.Fingerprint, opts Options, psnap *Result) (*Result, error) {
 	allocKey := compilecache.Key{Fingerprint: fp, Digest: opts.AllocDigest()}
 	v, _, err := opts.Cache.Alloc(allocKey, func() (any, int64, error) {
-		work := psnap.fn.Clone()
-		ar := scratch.Get()
-		defer scratch.Put(ar)
-		var ares Result
-		if err := runAlloc(ctx, work, analysis.NewWithArena(work, ar), opts, &ares); err != nil {
-			return nil, 0, err
-		}
-		return &allocSnapshot{fn: work, alloc: ares.Alloc, forced: ares.BankAssignForced},
-			funcBytes(work), nil
+		return cacheEntry(runPhases(ctx, f, psnap, true, opts, pipeline[allocStart:postStart]))
 	})
 	if err != nil {
 		return nil, err
 	}
-	asnap := v.(*allocSnapshot)
-	res := &Result{
-		Coalesce: psnap.coalesce, SDG: psnap.sdg, Sched: psnap.sched,
-		Alloc: asnap.alloc, BankAssignForced: asnap.forced,
-	}
-	work := asnap.fn
-	if opts.Method == MethodBRC || work.Name != f.Name {
-		// brc renumbers in place, and a shared snapshot may carry another
-		// symbol name — either way this compile needs a private clone.
-		work = work.Clone()
-		work.Name = f.Name
-	}
-	ar := scratch.Get()
-	defer scratch.Put(ar)
-	if err := runPost(ctx, work, analysis.NewWithArena(work, ar), opts, res); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-func verifySemantics(orig, allocated *ir.Func, opts Options) error {
-	memSize := opts.VerifyMemSize
-	if memSize == 0 {
-		memSize = 1 << 16
-	}
-	before, err := sim.Run(orig, sim.Options{MemSize: memSize})
-	if err != nil {
-		return fmt.Errorf("core: %s: simulating original: %w", orig.Name, err)
-	}
-	after, err := sim.Run(allocated, sim.Options{MemSize: memSize, File: opts.File})
-	if err != nil {
-		return fmt.Errorf("core: %s: simulating allocated: %w", orig.Name, err)
-	}
-	if before.MemChecksum != after.MemChecksum {
-		return fmt.Errorf("core: %s: allocation changed semantics (checksum %x -> %x)",
-			orig.Name, before.MemChecksum, after.MemChecksum)
-	}
-	return nil
+	asnap := v.(*Result)
+	// brc renumbers in place, and a shared snapshot may carry another
+	// symbol name — either way this compile needs a private clone. non's
+	// conflict analysis only reads the shared allocated function.
+	clone := opts.Method == MethodBRC || asnap.Func.Name != f.Name
+	return runPhases(ctx, f, asnap, clone, opts, pipeline[postStart:])
 }
 
 // ModuleResult aggregates per-function results of one module.
@@ -712,8 +671,8 @@ type ModuleResult struct {
 	ReusedFuncs, CompiledFuncs int
 	// Prior is the reuse token for the next recompile of this module under
 	// the same options: pass it as Options.Prior and unchanged functions
-	// skip compilation. Nil when the run could not produce one
-	// (VerifySemantics/VerifyEach runs must re-verify everything).
+	// skip compilation. Nil when the run could not produce one (checked
+	// runs must re-check everything).
 	Prior *ModulePrior
 }
 
@@ -737,10 +696,10 @@ func CompileModuleContext(ctx context.Context, m *ir.Module, opts Options) (*Mod
 	funcs := m.SortedFuncs()
 	results := make([]*Result, len(funcs))
 	// The prior is consulted only when its digest matches this run's
-	// options exactly; verification runs must actually recompile.
-	verifying := opts.VerifySemantics || opts.VerifyEach || opts.Validate
+	// options exactly; checked runs must actually recompile.
+	checking := opts.Check != CheckNone
 	prior := opts.Prior
-	if prior != nil && (verifying || prior.Digest != opts.FullDigest()) {
+	if prior != nil && (checking || prior.Digest != opts.FullDigest()) {
 		prior = nil
 	}
 	reused := make([]bool, len(funcs))
@@ -772,7 +731,7 @@ func CompileModuleContext(ctx context.Context, m *ir.Module, opts Options) (*Mod
 			out.CompiledFuncs++
 		}
 	}
-	if !verifying {
+	if !checking {
 		next := &ModulePrior{Digest: opts.FullDigest(), PerFunc: make(map[ir.Fingerprint]*Result, len(funcs))}
 		for i, f := range funcs {
 			next.PerFunc[f.Fingerprint()] = results[i]

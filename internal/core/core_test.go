@@ -58,10 +58,10 @@ func TestCompileAllMethodsPreserveSemantics(t *testing.T) {
 	for _, m := range []Method{MethodNon, MethodBCR, MethodBPC} {
 		for _, banks := range []int{2, 4, 8} {
 			res, err := Compile(f, Options{
-				File:            bankfile.RV2(banks),
-				Method:          m,
-				VerifySemantics: true,
-				VerifyMemSize:   1 << 10,
+				File:          bankfile.RV2(banks),
+				Method:        m,
+				Check:         CheckExec,
+				VerifyMemSize: 1 << 10,
 			})
 			if err != nil {
 				t.Fatalf("%v/%d banks: %v", m, banks, err)
@@ -135,11 +135,11 @@ func dsaKernel(t *testing.T) *ir.Func {
 func TestDSAPipelineEliminatesViolations(t *testing.T) {
 	f := dsaKernel(t)
 	res, err := Compile(f, Options{
-		File:            bankfile.DSA(1024),
-		Method:          MethodBPC,
-		Subgroups:       true,
-		VerifySemantics: true,
-		VerifyMemSize:   1 << 10,
+		File:          bankfile.DSA(1024),
+		Method:        MethodBPC,
+		Subgroups:     true,
+		Check:         CheckExec,
+		VerifyMemSize: 1 << 10,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -192,11 +192,11 @@ func TestLinearScanPipeline(t *testing.T) {
 	f := hotConflicts(t)
 	for _, m := range []Method{MethodNon, MethodBPC} {
 		res, err := Compile(f, Options{
-			File:            bankfile.RV2(2),
-			Method:          m,
-			LinearScan:      true,
-			VerifySemantics: true,
-			VerifyMemSize:   1 << 10,
+			File:          bankfile.RV2(2),
+			Method:        m,
+			LinearScan:    true,
+			Check:         CheckExec,
+			VerifyMemSize: 1 << 10,
 		})
 		if err != nil {
 			t.Fatalf("linear scan %v: %v", m, err)

@@ -26,10 +26,10 @@ import (
 //     method ignores them, and hashing them would split identical
 //     compiles into distinct entries).
 //
-// Cache, Workers, Prior, VerifySemantics, VerifyMemSize, VerifyEach and
-// Validate never affect the compiled output and are deliberately excluded
-// from all digests (VerifySemantics, VerifyEach and Validate bypass the
-// cache entirely — the verification must actually run; see Compile).
+// Cache, Workers, Prior, Check and VerifyMemSize never affect the compiled
+// output and are deliberately excluded from all digests (any Check level
+// above CheckNone bypasses the cache entirely — the checks must actually
+// run; see Compile).
 
 // PrefixDigest returns the digest of the options that reach the
 // method-independent pipeline prefix. SDGMaxGroup is hashed only when

@@ -26,9 +26,8 @@ func TestPipelineSemanticsQuick(t *testing.T) {
 	check := func(seed int64) bool {
 		f := workload.Random(seed)
 		for _, opts := range configs {
-			opts.VerifySemantics = true
+			opts.Check = CheckExec // phase-boundary verifier and tv as further oracles
 			opts.VerifyMemSize = 1 << 10
-			opts.VerifyEach = true // phase-boundary verifier as a second oracle
 			if _, err := Compile(f, opts); err != nil {
 				t.Logf("seed %d, config %+v: %v", seed, opts, err)
 				return false

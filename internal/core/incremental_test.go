@@ -168,7 +168,7 @@ func TestModulePriorVerifyBypass(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts.Prior = first.Prior
-	opts.VerifyEach = true
+	opts.Check = CheckPhases
 	verified, err := CompileModule(m, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +193,7 @@ func TestModulePriorVerifyBypass(t *testing.T) {
 
 // TestModulePriorValidateBypass: translation-validated runs ignore the
 // prior (the validator must actually see every function compile) and
-// produce no reuse token, exactly like VerifyEach.
+// produce no reuse token, exactly like CheckPhases.
 func TestModulePriorValidateBypass(t *testing.T) {
 	m := incModule(t, 2)
 	opts := Options{File: bankfile.RV2(2), Method: MethodBPC}
@@ -202,7 +202,7 @@ func TestModulePriorValidateBypass(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts.Prior = first.Prior
-	opts.Validate = true
+	opts.Check = CheckValidate
 	validated, err := CompileModule(m, opts)
 	if err != nil {
 		t.Fatal(err)

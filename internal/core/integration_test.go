@@ -46,7 +46,7 @@ func TestWorkloadSemanticsPreserved(t *testing.T) {
 			for _, c := range cases {
 				// The whole corpus compiles under the phase-boundary
 				// verifier; a rule firing on any workload fails the suite.
-				c.opts.VerifyEach = true
+				c.opts.Check = CheckPhases
 				res, err := Compile(f, c.opts)
 				if err != nil {
 					t.Fatalf("%s/%s %s: %v", p.Name, f.Name, c.name, err)
@@ -94,10 +94,10 @@ func TestSpillHeavySemantics(t *testing.T) {
 		}
 		for _, f := range p.Funcs() {
 			res, err := Compile(f, Options{
-				File:            tiny,
-				Method:          MethodBPC,
-				VerifySemantics: true,
-				VerifyMemSize:   p.MemSize,
+				File:          tiny,
+				Method:        MethodBPC,
+				Check:         CheckExec,
+				VerifyMemSize: p.MemSize,
 			})
 			if err != nil {
 				t.Fatalf("%s: %v", f.Name, err)

@@ -19,7 +19,7 @@ import (
 func TestLoopSplitCopyBackRegression(t *testing.T) {
 	f := workload.SPECfp().Programs[1].Funcs()[10]
 	tiny := bankfile.Config{NumRegs: 8, NumBanks: 2, NumSubgroups: 1, ReadPorts: 1}
-	res, err := Compile(f, Options{File: tiny, Method: MethodNon, VerifySemantics: true, Validate: true})
+	res, err := Compile(f, Options{File: tiny, Method: MethodNon, Check: CheckExec})
 	if err != nil {
 		t.Fatalf("split copy-back regression: %v", err)
 	}
@@ -43,7 +43,7 @@ func TestValidateBypassesCache(t *testing.T) {
 	}
 	before := tv.ChecksRun()
 	vopts := opts
-	vopts.Validate = true
+	vopts.Check = CheckValidate
 	validated, err := Compile(f.Clone(), vopts)
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func TestValidateBypassesCache(t *testing.T) {
 }
 
 // TestValidateZeroCostWhenDisabled pins the zero-cost contract from the
-// DESIGN notes: compiling without Options.Validate must execute zero
+// DESIGN notes: compiling at CheckNone must execute zero
 // validator checks.
 func TestValidateZeroCostWhenDisabled(t *testing.T) {
 	before := tv.ChecksRun()
@@ -76,10 +76,10 @@ func TestValidateZeroCostWhenDisabled(t *testing.T) {
 		}
 	}
 	if got := tv.ChecksRun(); got != before {
-		t.Errorf("plain compiles ran %d validator checks; Validate must be zero-cost when off", got-before)
+		t.Errorf("plain compiles ran %d validator checks; CheckNone must be zero-cost", got-before)
 	}
 	vf := hotConflicts(t)
-	if _, err := Compile(vf, Options{File: bankfile.RV2(2), Method: MethodBPC, Validate: true}); err != nil {
+	if _, err := Compile(vf, Options{File: bankfile.RV2(2), Method: MethodBPC, Check: CheckValidate}); err != nil {
 		t.Fatal(err)
 	}
 	if got := tv.ChecksRun(); got <= before {
@@ -89,15 +89,15 @@ func TestValidateZeroCostWhenDisabled(t *testing.T) {
 
 // BenchmarkValidate measures the validator's cost on a hot kernel: the
 // off case is the zero-cost contract, the on case is the overhead a
-// -validate build pays (the acceptance bound is ≤2× wall).
+// -check validate build pays, phase-boundary verifier included.
 func BenchmarkValidate(b *testing.B) {
 	f := hotConflicts(b)
 	for _, mode := range []struct {
-		name string
-		on   bool
-	}{{"off", false}, {"on", true}} {
+		name  string
+		check Check
+	}{{"off", CheckNone}, {"on", CheckValidate}} {
 		b.Run(mode.name, func(b *testing.B) {
-			opts := Options{File: bankfile.RV2(2), Method: MethodBPC, Validate: mode.on}
+			opts := Options{File: bankfile.RV2(2), Method: MethodBPC, Check: mode.check}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := Compile(f.Clone(), opts); err != nil {

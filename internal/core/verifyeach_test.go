@@ -15,20 +15,20 @@ import (
 func TestVerifyEachAllMethods(t *testing.T) {
 	f := hotConflicts(t)
 	for _, m := range []Method{MethodNon, MethodBCR, MethodBPC, MethodBRC} {
-		if _, err := Compile(f, Options{File: bankfile.RV2(2), Method: m, VerifyEach: true}); err != nil {
+		if _, err := Compile(f, Options{File: bankfile.RV2(2), Method: m, Check: CheckPhases}); err != nil {
 			t.Errorf("%v: %v", m, err)
 		}
 	}
-	if _, err := Compile(f, Options{File: bankfile.RV2(2), Method: MethodBPC, LinearScan: true, VerifyEach: true}); err != nil {
+	if _, err := Compile(f, Options{File: bankfile.RV2(2), Method: MethodBPC, LinearScan: true, Check: CheckPhases}); err != nil {
 		t.Errorf("linear scan: %v", err)
 	}
 	// Heavy spilling keeps the spill-pairing and use-before-def rules honest.
 	tiny := bankfile.Config{NumRegs: 4, NumBanks: 2, NumSubgroups: 1, ReadPorts: 1}
-	if _, err := Compile(f, Options{File: tiny, Method: MethodBPC, VerifyEach: true}); err != nil {
+	if _, err := Compile(f, Options{File: tiny, Method: MethodBPC, Check: CheckPhases}); err != nil {
 		t.Errorf("tiny file: %v", err)
 	}
 	d := dsaKernel(t)
-	if _, err := Compile(d, Options{File: bankfile.DSA(64), Method: MethodBPC, Subgroups: true, VerifyEach: true}); err != nil {
+	if _, err := Compile(d, Options{File: bankfile.DSA(64), Method: MethodBPC, Subgroups: true, Check: CheckPhases}); err != nil {
 		t.Errorf("dsa: %v", err)
 	}
 }
@@ -44,7 +44,7 @@ func TestVerifyEachBypassesCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.VerifyEach = true
+	opts.Check = CheckPhases
 	r2, err := Compile(f, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +58,7 @@ func TestVerifyEachBypassesCache(t *testing.T) {
 }
 
 // TestVerifyEachZeroCostWhenDisabled is the disabled-mode contract: a
-// compile without VerifyEach must execute zero verifier entry points.
+// compile at CheckNone must execute zero verifier entry points.
 func TestVerifyEachZeroCostWhenDisabled(t *testing.T) {
 	f := hotConflicts(t)
 	// Warm-up compile so lazy one-time initialization cannot confound the
@@ -75,7 +75,7 @@ func TestVerifyEachZeroCostWhenDisabled(t *testing.T) {
 	if got := verify.ChecksRun(); got != before {
 		t.Errorf("disabled mode ran %d verifier checks, want 0", got-before)
 	}
-	if _, err := Compile(f, Options{File: bankfile.RV2(2), Method: MethodBPC, VerifyEach: true}); err != nil {
+	if _, err := Compile(f, Options{File: bankfile.RV2(2), Method: MethodBPC, Check: CheckPhases}); err != nil {
 		t.Fatal(err)
 	}
 	if got := verify.ChecksRun(); got <= before {
@@ -86,17 +86,17 @@ func TestVerifyEachZeroCostWhenDisabled(t *testing.T) {
 // BenchmarkVerifyEach measures the verifier's cost: the off case is the
 // zero-cost contract (no verify work on the hot path — see
 // TestVerifyEachZeroCostWhenDisabled for the exact assertion), the on case
-// is the overhead a -verify-each build pays. CI runs this with
+// is the overhead a -check phases build pays. CI runs this with
 // -benchtime=1x as a smoke test; benchtab -sizes reports the same ratio at
 // scale.
 func BenchmarkVerifyEach(b *testing.B) {
 	f := hotConflicts(b)
 	for _, mode := range []struct {
-		name string
-		on   bool
-	}{{"off", false}, {"on", true}} {
+		name  string
+		check Check
+	}{{"off", CheckNone}, {"on", CheckPhases}} {
 		b.Run(mode.name, func(b *testing.B) {
-			opts := Options{File: bankfile.RV2(2), Method: MethodBPC, VerifyEach: mode.on}
+			opts := Options{File: bankfile.RV2(2), Method: MethodBPC, Check: mode.check}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := Compile(f.Clone(), opts); err != nil {

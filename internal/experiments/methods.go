@@ -92,7 +92,7 @@ func CompareMethods(suites []*workload.Suite, file bankfile.Config) (*MethodComp
 // additionally return the (features, winner) training samples of their
 // races.
 func compareCell(s *workload.Suite, file bankfile.Config, name string, cache *compilecache.Cache) (*MethodCell, []portfolio.Sample, error) {
-	opts := core.Options{File: file, Cache: cache, VerifyEach: VerifyEach, Validate: Validate}
+	opts := core.Options{File: file, Cache: cache, Check: Check}
 	cell := &MethodCell{Suite: s.Name, Method: name}
 	start := time.Now()
 

@@ -282,8 +282,7 @@ func TestCorpusVerifierCleanUnderNewMethods(t *testing.T) {
 		for _, f := range funcs {
 			opts := baseOpts()
 			opts.Method = method
-			opts.VerifyEach = true
-			opts.VerifySemantics = true
+			opts.Check = core.CheckExec
 			if _, err := core.Compile(f, opts); err != nil {
 				t.Errorf("%v/%s: %v", method, f.Name, err)
 			}

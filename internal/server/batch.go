@@ -59,8 +59,7 @@ type batchKey struct {
 	simulate bool
 	vliw     bool
 	emitMIR  bool
-	verify   bool
-	validate bool
+	check    core.Check
 }
 
 // batchUnit is one unique compile and the entry indices it serves.
@@ -140,8 +139,7 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request) {
 			simulate: e.Simulate,
 			vliw:     e.VLIW,
 			emitMIR:  e.EmitMIR,
-			verify:   e.Verify,
-			validate: e.Validate,
+			check:    opts.Check,
 		}
 		if u, ok := units[k]; ok {
 			u.indices = append(u.indices, i)

@@ -253,14 +253,12 @@ type CompileRequest struct {
 	// deadline itself still cancels coloring at phase boundaries, so a
 	// coloring request can 504 but never hang.
 	ColoringTimeoutMS int64 `json:"coloring_timeout_ms,omitempty"`
-	// Verify runs the phase-boundary verifier between pipeline stages; a
-	// rule violation fails the compile with a diagnostic naming the rule.
-	// Verified compiles bypass the shared compile cache.
+	// Verify compiles at core.CheckPhases: the phase-boundary verifier runs
+	// between pipeline stages. Checked compiles bypass the shared cache.
 	Verify bool `json:"verify,omitempty"`
-	// Validate runs the translation validator on the allocated output: a
-	// symbolic equivalence check of the result against the pre-allocation
-	// MIR, failing the compile with a T-rule diagnostic on divergence.
-	// Like Verify, validated compiles bypass the shared compile cache.
+	// Validate compiles at core.CheckValidate: the verifier plus the
+	// translation validator, which fails the compile with a T-rule
+	// diagnostic when the result diverges from the pre-allocation MIR.
 	Validate bool `json:"validate,omitempty"`
 	// Simulate executes the allocated code and attaches dynamic metrics.
 	Simulate bool `json:"simulate,omitempty"`
@@ -548,11 +546,10 @@ func (s *Server) serveCompile(w http.ResponseWriter, r *http.Request, module boo
 	}
 
 	// Speculatively precompile the sweep neighbors (adjacent bank counts)
-	// of this now-warm request in idle slots. Verified and validated
-	// compiles bypass the cache, so speculating on them would be wasted
-	// work; portfolio requests have no single-method neighborhood to
-	// speculate on.
-	if s.spec != nil && !req.Verify && !req.Validate && pmode == "" && !s.draining.Load() {
+	// of this now-warm request in idle slots. Checked compiles bypass the
+	// cache, so speculating on them would be wasted work; portfolio
+	// requests have no single-method neighborhood to speculate on.
+	if s.spec != nil && opts.Check == core.CheckNone && pmode == "" && !s.draining.Load() {
 		s.spec.enqueue(mod, opts)
 	}
 
@@ -761,6 +758,13 @@ func (s *Server) compileOptions(req *CompileRequest) (core.Options, string, erro
 	if err := file.Normalize().Validate(); err != nil {
 		return core.Options{}, "", fmt.Errorf("register file: %w", err)
 	}
+	check := core.CheckNone
+	if req.Verify {
+		check = core.CheckPhases
+	}
+	if req.Validate {
+		check = core.CheckValidate
+	}
 	return core.Options{
 		File:            file,
 		Method:          method,
@@ -768,8 +772,7 @@ func (s *Server) compileOptions(req *CompileRequest) (core.Options, string, erro
 		THRES:           req.THRES,
 		LinearScan:      req.LinearScan,
 		ColoringTimeout: time.Duration(req.ColoringTimeoutMS) * time.Millisecond,
-		VerifyEach:      req.Verify,
-		Validate:        req.Validate,
+		Check:           check,
 		Workers:         s.cfg.Workers,
 		Cache:           s.cache,
 	}, pmode, nil

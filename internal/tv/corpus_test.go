@@ -20,7 +20,7 @@ var coreMethods = []core.Method{
 }
 
 // TestValidateWorkloadCorpus compiles the full workload corpus (CNN,
-// DSAOP, SPECfp suites plus random functions) under Options.Validate for
+// DSAOP, SPECfp suites plus random functions) at core.CheckValidate for
 // every single-allocator method: a clean pipeline must validate clean.
 // A small register file forces spilling, so loop-carried values through
 // spill/reload across back edges are exercised, not just straight
@@ -38,7 +38,7 @@ func TestValidateWorkloadCorpus(t *testing.T) {
 			for _, f := range prog.Funcs() {
 				for _, m := range coreMethods {
 					for _, file := range files {
-						opts := core.Options{File: file, Method: m, Validate: true}
+						opts := core.Options{File: file, Method: m, Check: core.CheckValidate}
 						if _, err := core.Compile(f, opts); err != nil {
 							t.Fatalf("%s/%s method=%v file=%v: %v", suite.Name, f.Name, m, file, err)
 						}
@@ -56,7 +56,7 @@ func TestValidateRandomCorpus(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		f := workload.Random(seed)
 		for _, m := range coreMethods {
-			opts := core.Options{File: bankfile.RV2(4), Method: m, Validate: true}
+			opts := core.Options{File: bankfile.RV2(4), Method: m, Check: core.CheckValidate}
 			if _, err := core.Compile(f, opts); err != nil {
 				t.Fatalf("seed %d method %v: %v", seed, m, err)
 			}
@@ -82,7 +82,7 @@ func TestValidateRandomSized(t *testing.T) {
 			f := workload.RandomSized(seed, size)
 			for _, file := range files {
 				for _, m := range methods {
-					opts := core.Options{File: file, Method: m, Validate: true}
+					opts := core.Options{File: file, Method: m, Check: core.CheckValidate}
 					if _, err := core.Compile(f, opts); err != nil {
 						t.Fatalf("size=%d seed=%d file=%v method=%v: %v", size, seed, file, m, err)
 					}
@@ -99,7 +99,7 @@ func TestValidateRandomSized(t *testing.T) {
 func TestValidatePortfolioModes(t *testing.T) {
 	f := workload.Random(3)
 	for _, auto := range []bool{false, true} {
-		opts := core.Options{File: bankfile.RV2(2), Method: core.MethodBPC, Validate: true}
+		opts := core.Options{File: bankfile.RV2(2), Method: core.MethodBPC, Check: core.CheckValidate}
 		rr, err := portfolio.CompileFunc(context.Background(), f, opts, portfolio.Config{Auto: auto})
 		if err != nil {
 			t.Fatalf("auto=%v: %v", auto, err)
@@ -117,7 +117,7 @@ func TestValidateDSAPath(t *testing.T) {
 	suite := workload.DSAOP()
 	prog := suite.Programs[0]
 	for _, f := range prog.Funcs() {
-		opts := core.Options{File: bankfile.DSA(64), Method: core.MethodBPC, Subgroups: true, Validate: true}
+		opts := core.Options{File: bankfile.DSA(64), Method: core.MethodBPC, Subgroups: true, Check: core.CheckValidate}
 		if _, err := core.Compile(f, opts); err != nil {
 			t.Fatalf("%s: %v", f.Name, err)
 		}
@@ -129,7 +129,7 @@ func TestValidateDSAPath(t *testing.T) {
 func TestChecksRunCounts(t *testing.T) {
 	before := tv.ChecksRun()
 	f := workload.Random(1)
-	if _, err := core.Compile(f, core.Options{File: bankfile.RV2(2), Method: core.MethodBPC, Validate: true}); err != nil {
+	if _, err := core.Compile(f, core.Options{File: bankfile.RV2(2), Method: core.MethodBPC, Check: core.CheckValidate}); err != nil {
 		t.Fatal(err)
 	}
 	if tv.ChecksRun() == before {

@@ -65,7 +65,7 @@
 //	                        fixpoint failed to converge
 //
 // Like the verifier, tv is strictly off the hot path: core.Compile
-// invokes it only under Options.Validate, and the ChecksRun counter
+// invokes it only from core.CheckValidate up, and the ChecksRun counter
 // lets tests assert the disabled mode executes zero checks.
 package tv
 
@@ -96,7 +96,7 @@ const (
 type Diag = ir.Diag
 
 // checks counts Check invocations. The disabled-mode zero-cost contract
-// is asserted against it: compiling without Options.Validate must leave
+// is asserted against it: compiling at core.CheckNone must leave
 // it untouched.
 var checks atomic.Int64
 

@@ -23,8 +23,8 @@
 //	V040-sched-deps          scheduling reordered a dependent pair
 //
 // The verifier is strictly off the hot path: core.Compile invokes it only
-// under Options.VerifyEach, and the ChecksRun counter lets tests assert
-// the disabled mode executes zero checks.
+// from check level core.CheckPhases up, and the ChecksRun counter lets
+// tests assert the disabled mode executes zero checks.
 package verify
 
 import (
@@ -55,7 +55,7 @@ const (
 type Diag = ir.Diag
 
 // checks counts executed verifier entry points. The disabled-mode
-// zero-cost contract is asserted against it: compiling without VerifyEach
+// zero-cost contract is asserted against it: compiling at core.CheckNone
 // must leave it untouched.
 var checks atomic.Int64
 
@@ -151,22 +151,24 @@ func (s *Snapshot) CheckSched(f *ir.Func) error {
 		for i, in := range b.Instrs {
 			pos[in] = i
 		}
+		// now[i] is the post-sched position of pre[i].
+		now := make([]int, len(pre))
 		for i, in := range pre {
-			if _, ok := pos[in]; !ok {
+			p, ok := pos[in]
+			if !ok {
 				return ir.Diagf(RuleSchedDeps, f.Name, b.Name, i,
 					"scheduling dropped or replaced %s (pre-sched position %d)", in.Op, i)
 			}
+			now[i] = p
 		}
-		// Every dependent pair must keep its pre-sched relative order.
+		// Every dependent pair must keep its pre-sched relative order; only
+		// pairs the schedule swapped need the dependence test.
 		for i := 0; i < len(pre); i++ {
 			for j := i + 1; j < len(pre); j++ {
-				if !sched.MustPrecede(pre[i], pre[j]) {
-					continue
-				}
-				if pos[pre[i]] > pos[pre[j]] {
-					return ir.Diagf(RuleSchedDeps, f.Name, b.Name, pos[pre[j]],
+				if now[i] > now[j] && sched.MustPrecede(pre[i], pre[j]) {
+					return ir.Diagf(RuleSchedDeps, f.Name, b.Name, now[j],
 						"scheduling reordered dependent pair %s (now #%d) and %s (now #%d)",
-						pre[i].Op, pos[pre[i]], pre[j].Op, pos[pre[j]])
+						pre[i].Op, now[i], pre[j].Op, now[j])
 				}
 			}
 		}

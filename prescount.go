@@ -97,6 +97,18 @@ const (
 	MethodColoring = core.MethodColoring
 )
 
+// Check is a compile's checking level (see core.Check); each level also
+// runs the lower levels' checks.
+type Check = core.Check
+
+// The check levels, from the zero-cost default up.
+const (
+	CheckNone     = core.CheckNone
+	CheckPhases   = core.CheckPhases
+	CheckValidate = core.CheckValidate
+	CheckExec     = core.CheckExec
+)
+
 // ParseMethod maps a method name ("non", "bcr", "bpc", "brc", "binpack",
 // "coloring") to its Method constant.
 func ParseMethod(s string) (Method, bool) { return core.ParseMethod(s) }
@@ -113,10 +125,10 @@ type ModuleResult = core.ModuleResult
 // ConflictReport is the static conflict analysis of allocated code.
 type ConflictReport = conflict.Report
 
-// Diag is a structural or phase-boundary verifier diagnostic: the violated
-// rule ID plus the function/block/instruction it points at. Compile errors
-// produced under Options.VerifyEach (and input well-formedness failures)
-// carry one, recoverable with errors.As.
+// Diag is a structural, verifier or validator diagnostic: the violated
+// rule ID plus the function/block/instruction it points at. Input
+// well-formedness, V-rule and T-rule failures all carry one, recoverable
+// with errors.As.
 type Diag = ir.Diag
 
 // SimOptions configures a simulation run.

@@ -14,10 +14,13 @@
 // reports any call whose rank is lower than an earlier call's in the same
 // function body (nested function literals are separate bodies; graph
 // builders like sdg.Build are queries, not phases, and carry no rank).
+// The function literals of a package-level composite literal other than a
+// map (a table such as internal/core's pipeline) form one body, in order.
 package phaseorder
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 
@@ -37,7 +40,7 @@ var phaseRanks = map[string]map[string]int{
 	"prescount/internal/sdg":      {"Split": 2},
 	"prescount/internal/sched":    {"Run": 3},
 	"prescount/internal/assign":   {"PresCount": 4},
-	"prescount/internal/regalloc": {"Run": 5, "RunLinearScan": 5},
+	"prescount/internal/regalloc": {"Run": 5, "RunLinearScan": 5, "RunBinpack": 5, "RunColoring": 5},
 	"prescount/internal/renumber": {"Run": 6},
 	"prescount/internal/conflict": {"Analyze": 7, "AnalyzeWith": 7},
 }
@@ -54,14 +57,28 @@ var rankName = map[int]string{
 
 func run(pass *analysis.Pass) error {
 	for _, file := range pass.Files {
+		// A package-level table's rows are scanned as one body, not again on
+		// their own; local tables (test cases) hold independent rows.
+		inTable := map[*ast.BlockStmt]bool{}
+		for _, decl := range file.Decls {
+			if gd, ok := decl.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+				for _, spec := range gd.Specs {
+					for _, v := range spec.(*ast.ValueSpec).Values {
+						checkSeq(pass, tableBodies(v, inTable)...)
+					}
+				}
+			}
+		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch fn := n.(type) {
 			case *ast.FuncDecl:
 				if fn.Body != nil {
-					checkBody(pass, fn.Body)
+					checkSeq(pass, fn.Body)
 				}
 			case *ast.FuncLit:
-				checkBody(pass, fn.Body)
+				if !inTable[fn.Body] {
+					checkSeq(pass, fn.Body)
+				}
 			}
 			return true
 		})
@@ -69,33 +86,58 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// checkBody scans one function body in source order, skipping nested
+// tableBodies returns the bodies of the outermost function literals in the
+// composite literal v, in source order, and marks them in seen. Map literals
+// have no row order and yield none.
+func tableBodies(v ast.Expr, seen map[*ast.BlockStmt]bool) []*ast.BlockStmt {
+	lit, ok := v.(*ast.CompositeLit)
+	if !ok {
+		return nil
+	}
+	if _, isMap := lit.Type.(*ast.MapType); isMap {
+		return nil
+	}
+	var bodies []*ast.BlockStmt
+	ast.Inspect(lit, func(n ast.Node) bool {
+		fn, ok := n.(*ast.FuncLit)
+		if ok {
+			bodies = append(bodies, fn.Body)
+			seen[fn.Body] = true
+		}
+		return !ok
+	})
+	return bodies
+}
+
+// checkSeq scans bodies in source order as one sequence, skipping nested
 // function literals (they run on their own schedule), and reports rank
 // inversions.
-func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
+func checkSeq(pass *analysis.Pass, bodies ...*ast.BlockStmt) {
 	maxRank := 0
 	var maxCall string
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok && n.Pos() != body.Pos() {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
+	for _, body := range bodies {
+		ast.Inspect(body, func(n ast.Node) bool {
+			if _, ok := n.(*ast.FuncLit); ok {
+				return false
+			}
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			name, rank, ok := phaseCall(pass, call)
+			if !ok {
+				return true
+			}
+			if rank < maxRank {
+				pass.Reportf(call.Pos(),
+					"pipeline phase %s (%s) called after %s: violates the Figure-4 phase order",
+					name, rankName[rank], maxCall)
+			} else if rank > maxRank {
+				maxRank, maxCall = rank, name
+			}
 			return true
-		}
-		name, rank, ok := phaseCall(pass, call)
-		if !ok {
-			return true
-		}
-		if rank < maxRank {
-			pass.Reportf(call.Pos(),
-				"pipeline phase %s (%s) called after %s: violates the Figure-4 phase order",
-				name, rankName[rank], maxCall)
-		} else if rank > maxRank {
-			maxRank, maxCall = rank, name
-		}
-		return true
-	})
+		})
+	}
 }
 
 // phaseCall resolves a call expression to a pipeline phase, preferring type

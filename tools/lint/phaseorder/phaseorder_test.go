@@ -105,6 +105,86 @@ func TestPhaseOrder(t *testing.T) {
 }`,
 		},
 		{
+			// A phase table's rows run in element order: listing sched
+			// after regalloc is an inversion across two function literals.
+			name: "phase-table-sched-after-regalloc-flagged",
+			src: `type phase struct {
+	name string
+	run  func(f any)
+}
+var table = []phase{
+	{name: "regalloc", run: func(f any) { regalloc.Run(f) }},
+	{name: "sched", run: func(f any) { sched.Run(f) }},
+}`,
+			want: []string{"sched.Run"},
+		},
+		{
+			// The shape of internal/core's pipeline table: optional
+			// phases, check brackets, allocator selection and the
+			// end-to-end checks, all in Figure-4 order.
+			name: "phase-table-figure4-order-clean",
+			src: `type phase struct {
+	name    string
+	enabled func(o any) bool
+	run     func(f any) error
+	before  func(f any) error
+	after   func(f any) error
+}
+var pipeline = []phase{
+	{name: "coalesce", enabled: func(o any) bool { return true }, run: func(f any) error { coalesce.RunCached(f); return nil }},
+	{name: "sdg-split", run: func(f any) error { sdg.Split(f); return nil }},
+	{name: "sched", run: func(f any) error { sched.Run(f); return nil }},
+	{name: "bank-assign", run: func(f any) error { assign.PresCount(f); return nil }},
+	{
+		name: "regalloc",
+		run: func(f any) error {
+			sdg.Build(f)
+			if f == nil {
+				regalloc.RunLinearScan(f)
+			}
+			regalloc.Run(f)
+			return nil
+		},
+		before: func(f any) error { return nil },
+		after:  func(f any) error { return nil },
+	},
+	{name: "renumber", run: func(f any) error { renumber.Run(f); return nil }},
+	{name: "conflict-analysis", run: func(f any) error { conflict.AnalyzeWith(f); return nil }},
+	{name: "validate", run: func(f any) error { return nil }},
+}`,
+		},
+		{
+			// An inversion inside one row is that literal's own finding,
+			// reported once, not again by the table scan.
+			name: "phase-table-inversion-within-row-reported-once",
+			src: `var table = []struct{ run func(f any) }{
+	{run: func(f any) { coalesce.Run(f) }},
+	{run: func(f any) { regalloc.Run(f); sched.Run(f) }},
+}`,
+			want: []string{"sched.Run"},
+		},
+		{
+			// A local table of test cases runs each row on its own: its
+			// rows are separate bodies, not one pipeline.
+			name: "local-case-table-separate-bodies",
+			src: `func cases(f any) {
+	for _, c := range []struct{ run func() }{
+		{run: func() { conflict.Analyze(f) }},
+		{run: func() { coalesce.Run(f); sched.Run(f) }},
+	} {
+		c.run()
+	}
+}`,
+		},
+		{
+			// A map literal has no row order.
+			name: "package-level-map-unordered-clean",
+			src: `var byName = map[string]func(f any){
+	"regalloc": func(f any) { regalloc.Run(f) },
+	"sched":    func(f any) { sched.Run(f) },
+}`,
+		},
+		{
 			// sdg.Build is a query, not a phase: legal at any point.
 			name: "unranked-query-clean",
 			src: `func pipeline(f any) {
