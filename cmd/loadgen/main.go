@@ -20,10 +20,6 @@
 //	-saturate    additionally run a saturation pass against a deliberately
 //	             tiny in-process daemon (inflight=2, queue=4) to demonstrate
 //	             429-instead-of-collapse (self-spawn mode only)
-//	-sweep       additionally run the bank-sweep pair: the corpus walked
-//	             across bank counts {4, 8, 2} against a speculating daemon
-//	             and again with speculation off, recording the warm hits
-//	             speculative precompilation earned (self-spawn mode only)
 //	-fleet N     additionally run the distributed pair: N in-process daemons,
 //	             each with its own disk cache, behind an in-process
 //	             consistent-hash router. The cold pass populates the disk
@@ -75,7 +71,6 @@ func main() {
 	method := flag.String("method", "bpc", "allocation method: non | bcr | brc | bpc | binpack | coloring | portfolio | auto")
 	simulate := flag.Bool("simulate", false, "execute allocated kernels server-side")
 	saturate := flag.Bool("saturate", false, "also run the tiny-daemon saturation pass")
-	sweep := flag.Bool("sweep", false, "also run the bank-sweep speculation-on/off pair")
 	fleet := flag.Int("fleet", 0, "also run the fleet cold/warm-restart pair with this many routed daemons (0 disables)")
 	jsonOut := flag.String("json", "BENCH_serve.json", "trajectory artifact path (\"\" disables)")
 	flag.Parse()
@@ -143,37 +138,6 @@ func main() {
 		check(err)
 		report("saturation", sres)
 		art.Runs = append(art.Runs, runRecord{Name: "saturation", LoadgenResult: sres})
-	}
-
-	if *sweep {
-		if *url != "" {
-			check(fmt.Errorf("-sweep requires self-spawn mode (omit -url)"))
-		}
-		// The same bank-sweep walk against a speculating daemon and a
-		// non-speculating one. Modest concurrency leaves admission slots
-		// idle between passes — the headroom the speculator is built to
-		// harvest; the comparison is the warm hits it earns with them.
-		for _, pass := range []struct {
-			name        string
-			specWorkers int
-		}{{"sweep-spec", 1}, {"sweep-nospec", 0}} {
-			target, shutdown := spawn(server.Config{
-				CacheMaxBytes: 256 << 20,
-				SpecWorkers:   pass.specWorkers,
-			})
-			swres, err := server.RunLoadgen(server.LoadgenConfig{
-				URL:         target,
-				Concurrency: 4,
-				Kernels:     *kernels,
-				Method:      *method,
-				Sweep:       true,
-				RetryOn429:  true,
-			})
-			shutdown()
-			check(err)
-			report(pass.name, swres)
-			art.Runs = append(art.Runs, runRecord{Name: pass.name, LoadgenResult: swres})
-		}
 	}
 
 	if *fleet > 1 {
@@ -285,10 +249,6 @@ func report(name string, r *server.LoadgenResult) {
 			r.Statz.Cache.FullHitRate, r.Statz.Cache.PrefixHitRate, r.Statz.Cache.AllocHitRate,
 			r.Statz.Cache.BytesRetained, r.Statz.Cache.Evictions,
 			r.MaxInFlightSeen, r.MaxQueuedSeen)
-		if sp := r.Statz.Speculation; sp != nil {
-			fmt.Printf("  speculation: %d scheduled, %d compiled, %d warm hits, %d cancelled, %d dropped, %d deduped\n",
-				sp.Scheduled, sp.Compiled, sp.WarmHits, sp.Cancelled, sp.Dropped, sp.Deduped)
-		}
 	}
 	if len(r.Backends) > 0 {
 		hits, misses := r.FleetDiskHits()

@@ -29,12 +29,12 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"strings"
 	"time"
 
 	"prescount/internal/router"
+	"prescount/internal/server"
 )
 
 func main() {
@@ -73,7 +73,7 @@ func main() {
 
 	fmt.Fprintf(os.Stderr, "prescountrouter: listening on %s, %d backends, %d vnodes each\n",
 		*addr, len(urls), *vnodes)
-	if err := http.ListenAndServe(*addr, r.Handler()); err != nil {
+	if err := server.NewHTTPServer(*addr, r.Handler()).ListenAndServe(); err != nil {
 		fmt.Fprintln(os.Stderr, "prescountrouter:", err)
 		os.Exit(1)
 	}

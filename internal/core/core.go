@@ -112,21 +112,12 @@ type Options struct {
 	// Cached Results are shared across callers and must not be mutated.
 	// Cache, Workers, Check and VerifyMemSize never enter the cache key.
 	Cache *compilecache.Cache
-	// Prior, when non-nil, enables function-level incremental recompiles in
-	// CompileModule: any function whose ir.Fingerprint appears in the prior
-	// and whose options digest matches Prior.Digest reuses the prior Result
-	// without compiling (results are immutable and shared, with the same
-	// name-rematerialization rule as a cache hit). A digest mismatch
-	// disables the prior entirely. Like Cache it is ignored when checking
-	// and never enters a cache key.
-	Prior *ModulePrior
 }
 
 // Check is the checking level of a compile. Levels are ordered and
 // cumulative: each runs every lower level's checks too. Checks only
 // observe, so the compiled output is the same at every level; any level
-// above CheckNone bypasses Options.Cache and Options.Prior (the checks must
-// actually run) and yields no ModulePrior.
+// above CheckNone bypasses Options.Cache (the checks must actually run).
 type Check uint8
 
 const (
@@ -167,19 +158,6 @@ func (c *Check) Set(s string) error {
 		}
 	}
 	return fmt.Errorf("unknown check level %q (want none, phases, validate or exec)", s)
-}
-
-// ModulePrior is the reusable outcome of a prior CompileModule run: the
-// options digest the results were compiled under plus the per-function
-// results keyed by input fingerprint. A later CompileModule with a matching
-// digest reuses every entry whose fingerprint still appears in the module —
-// the incremental-recompile contract prescountd's module token exposes over
-// HTTP. The contained Results are shared and must not be mutated.
-type ModulePrior struct {
-	// Digest is Options.FullDigest() of the producing run.
-	Digest uint64
-	// PerFunc maps input-function fingerprints to their compiled results.
-	PerFunc map[ir.Fingerprint]*Result
 }
 
 // Result is the outcome of compiling one function.
@@ -666,14 +644,6 @@ type ModuleResult struct {
 	PerFunc map[string]*Result
 	// Totals sums the conflict reports.
 	Totals conflict.Report
-	// ReusedFuncs counts functions satisfied by Options.Prior without
-	// compiling; CompiledFuncs counts the rest (cache hits included).
-	ReusedFuncs, CompiledFuncs int
-	// Prior is the reuse token for the next recompile of this module under
-	// the same options: pass it as Options.Prior and unchanged functions
-	// skip compilation. Nil when the run could not produce one (checked
-	// runs must re-check everything).
-	Prior *ModulePrior
 }
 
 // CompileModule compiles every function of m, fanning out over a worker
@@ -695,22 +665,7 @@ func CompileModule(m *ir.Module, opts Options) (*ModuleResult, error) {
 func CompileModuleContext(ctx context.Context, m *ir.Module, opts Options) (*ModuleResult, error) {
 	funcs := m.SortedFuncs()
 	results := make([]*Result, len(funcs))
-	// The prior is consulted only when its digest matches this run's
-	// options exactly; checked runs must actually recompile.
-	checking := opts.Check != CheckNone
-	prior := opts.Prior
-	if prior != nil && (checking || prior.Digest != opts.FullDigest()) {
-		prior = nil
-	}
-	reused := make([]bool, len(funcs))
 	err := pool.Run(ctx, len(funcs), opts.Workers, func(ctx context.Context, i int) error {
-		if prior != nil {
-			if r, ok := prior.PerFunc[funcs[i].Fingerprint()]; ok {
-				results[i] = renamedResult(r, funcs[i].Name)
-				reused[i] = true
-				return nil
-			}
-		}
 		r, err := CompileContext(ctx, funcs[i], opts)
 		if err != nil {
 			return err
@@ -725,18 +680,6 @@ func CompileModuleContext(ctx context.Context, m *ir.Module, opts Options) (*Mod
 	for i, f := range funcs {
 		out.PerFunc[f.Name] = results[i]
 		addReport(&out.Totals, results[i].Report)
-		if reused[i] {
-			out.ReusedFuncs++
-		} else {
-			out.CompiledFuncs++
-		}
-	}
-	if !checking {
-		next := &ModulePrior{Digest: opts.FullDigest(), PerFunc: make(map[ir.Fingerprint]*Result, len(funcs))}
-		for i, f := range funcs {
-			next.PerFunc[f.Fingerprint()] = results[i]
-		}
-		out.Prior = next
 	}
 	return out, nil
 }

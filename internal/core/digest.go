@@ -26,7 +26,7 @@ import (
 //     method ignores them, and hashing them would split identical
 //     compiles into distinct entries).
 //
-// Cache, Workers, Prior, Check and VerifyMemSize never affect the compiled
+// Cache, Workers, Check and VerifyMemSize never affect the compiled
 // output and are deliberately excluded from all digests (any Check level
 // above CheckNone bypasses the cache entirely — the checks must actually
 // run; see Compile).

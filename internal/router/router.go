@@ -6,10 +6,10 @@
 // regroup per backend so intra-batch dedup happens exactly once per unique
 // kernel fleet-wide.
 //
-// The router holds no compile state of its own: request bodies (deadlines,
-// module tokens, speculation hints) pass through verbatim, and module
-// compiles hash their whole source so prior_token incremental recompiles
-// keep hitting the node that minted the token.
+// The router holds no compile state of its own: request bodies pass
+// through verbatim. A module compile hashes the fingerprints of all its
+// functions, so a resubmitted module lands on the node whose compile cache
+// already holds every one of them and is served from its full layer.
 package router
 
 import (

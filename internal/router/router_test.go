@@ -75,7 +75,7 @@ func postCompile(t *testing.T, url string, req server.CompileRequest) (*http.Res
 // TestRouterAffinity pins fingerprint affinity: every resubmission of one
 // kernel lands on the same backend, and its cache turns them into hits.
 func TestRouterAffinity(t *testing.T) {
-	backends, _, _, rts := fleet(t, 3, server.Config{MaxInFlight: 1, SpecWorkers: 0})
+	backends, _, _, rts := fleet(t, 3, server.Config{MaxInFlight: 1})
 	for i := 0; i < 6; i++ {
 		resp, body := postCompile(t, rts.URL, server.CompileRequest{MIR: kernelMIR, Method: "bpc"})
 		if resp.StatusCode != http.StatusOK {
@@ -100,7 +100,7 @@ func TestRouterAffinity(t *testing.T) {
 // TestRouterRenamedKernelSameBackend pins name-blind routing: a renamed
 // copy of a kernel hashes to the same backend and hits its cache.
 func TestRouterRenamedKernelSameBackend(t *testing.T) {
-	backends, _, _, rts := fleet(t, 3, server.Config{MaxInFlight: 1, SpecWorkers: 0})
+	backends, _, _, rts := fleet(t, 3, server.Config{MaxInFlight: 1})
 	renamed := strings.Replace(kernelMIR, "@axpy", "@saxpy", 1)
 	for _, mir := range []string{kernelMIR, renamed} {
 		if resp, body := postCompile(t, rts.URL, server.CompileRequest{MIR: mir, Method: "bpc"}); resp.StatusCode != http.StatusOK {
@@ -119,7 +119,7 @@ func TestRouterRenamedKernelSameBackend(t *testing.T) {
 // dying mid-stream must not surface as a 5xx — the router demotes it and
 // retries the ring successor.
 func TestBackendDeathFailover(t *testing.T) {
-	backends, tss, r, rts := fleet(t, 3, server.Config{MaxInFlight: 1, SpecWorkers: 0})
+	backends, tss, r, rts := fleet(t, 3, server.Config{MaxInFlight: 1})
 	// Find the kernel's owning backend and kill it.
 	resp, _ := postCompile(t, rts.URL, server.CompileRequest{MIR: kernelMIR, Method: "bpc"})
 	if resp.StatusCode != http.StatusOK {
@@ -166,7 +166,7 @@ func TestBackendDeathFailover(t *testing.T) {
 // the router answers 503 with Retry-After — the load-balancer-friendly
 // "come back later", not an error.
 func TestAllDraining503(t *testing.T) {
-	backends, _, r, rts := fleet(t, 3, server.Config{MaxInFlight: 1, SpecWorkers: 0})
+	backends, _, r, rts := fleet(t, 3, server.Config{MaxInFlight: 1})
 	for _, b := range backends {
 		b.SetDraining(true)
 	}
@@ -201,7 +201,7 @@ func TestAllDraining503(t *testing.T) {
 // TestRouterBatch pins batch regrouping: entries spread across backends,
 // come back in request order, and duplicates dedup on their shared node.
 func TestRouterBatch(t *testing.T) {
-	_, _, _, rts := fleet(t, 3, server.Config{MaxInFlight: 2, SpecWorkers: 0})
+	_, _, _, rts := fleet(t, 3, server.Config{MaxInFlight: 2})
 	kernels := []string{
 		kernelMIR,
 		ir.Print(workload.RandomSized(51, 100)),
@@ -256,7 +256,7 @@ func TestRouterBatch(t *testing.T) {
 // TestRouterBatchSurvivesNodeDeath reroutes a dead node's sub-batch to the
 // survivors inside the same request.
 func TestRouterBatchSurvivesNodeDeath(t *testing.T) {
-	backends, tss, _, rts := fleet(t, 3, server.Config{MaxInFlight: 2, SpecWorkers: 0})
+	backends, tss, _, rts := fleet(t, 3, server.Config{MaxInFlight: 2})
 	// Kill one node before any traffic; the router hasn't probed yet, so
 	// the batch's first round will dial it and must recover in-flight.
 	dead := 1
@@ -289,35 +289,63 @@ func TestRouterBatchSurvivesNodeDeath(t *testing.T) {
 	}
 }
 
-// TestRouterModuleTokenAffinity pins that module compiles route by module
-// content, so a prior_token minted by a node comes back to that node and
-// actually reuses functions.
-func TestRouterModuleTokenAffinity(t *testing.T) {
-	_, _, _, rts := fleet(t, 3, server.Config{MaxInFlight: 1, SpecWorkers: 0})
-	moduleMIR := "module pair\n" + kernelMIR + strings.Replace(kernelMIR, "@axpy", "@axpy2", 1)
-	post := func(req server.CompileRequest) server.ModuleResponse {
-		body, _ := json.Marshal(req)
+// TestRouterModuleAffinity pins that module compiles route by module
+// content: a resubmitted module lands on the backend that compiled it, and
+// that backend serves every function from its cache's full layer.
+func TestRouterModuleAffinity(t *testing.T) {
+	_, tss, _, rts := fleet(t, 3, server.Config{MaxInFlight: 1})
+	m := ir.NewModule("pair")
+	for i, n := range []string{"alpha", "beta"} {
+		f := workload.RandomSized(int64(40+i), 60)
+		f.Name = n
+		m.Add(f)
+	}
+	body, _ := json.Marshal(server.CompileRequest{MIR: ir.PrintModule(m), Method: "bpc"})
+	statz := func() []server.Statz {
+		out := make([]server.Statz, len(tss))
+		for i, ts := range tss {
+			resp, err := http.Get(ts.URL + "/statz")
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = json.NewDecoder(resp.Body).Decode(&out[i])
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	var after [2][]server.Statz
+	for i := range after {
 		resp, err := http.Post(rts.URL+"/v1/compile/module", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
+		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("module status %d", resp.StatusCode)
+			t.Fatalf("post %d: module status %d", i, resp.StatusCode)
 		}
-		var mr server.ModuleResponse
-		if err := json.NewDecoder(resp.Body).Decode(&mr); err != nil {
-			t.Fatal(err)
+		after[i] = statz()
+	}
+	owner := -1
+	for i, st := range after[1] {
+		if st.Requests.Total == 0 {
+			continue
 		}
-		return mr
+		if owner >= 0 {
+			t.Fatalf("backends %d and %d both served the module (affinity broken)", owner, i)
+		}
+		owner = i
 	}
-	first := post(server.CompileRequest{MIR: moduleMIR, Method: "bpc"})
-	if first.ModuleToken == "" {
-		t.Fatal("no module token minted")
+	if owner < 0 {
+		t.Fatal("no backend served the module")
 	}
-	second := post(server.CompileRequest{MIR: moduleMIR, Method: "bpc", PriorToken: first.ModuleToken})
-	if second.ReusedFuncs == 0 {
-		t.Fatalf("prior token earned no reuse (reused=%d compiled=%d) — token affinity broken",
-			second.ReusedFuncs, second.CompiledFuncs)
+	if n := after[1][owner].Requests.Total; n != 2 {
+		t.Fatalf("owning backend served %d requests, want 2", n)
+	}
+	first, second := after[0][owner].Cache, after[1][owner].Cache
+	if hits, misses := second.FullHits-first.FullHits, second.FullMisses-first.FullMisses; hits != 2 || misses != 0 {
+		t.Fatalf("second post: %d full hits / %d misses, want 2 / 0", hits, misses)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"prescount/internal/compilecache"
 	"prescount/internal/core"
 	"prescount/internal/ir"
 	"prescount/internal/sim"
@@ -23,8 +22,8 @@ import (
 // slots instead of racing through the queue as separate requests.
 
 // BatchRequest is the /v1/compile/batch envelope. Each entry is an
-// independent single-function CompileRequest; per-entry TimeoutMS and
-// PriorToken are ignored (the batch-level deadline covers every entry).
+// independent single-function CompileRequest; per-entry TimeoutMS is
+// ignored (the batch-level deadline covers every entry).
 type BatchRequest struct {
 	Entries []CompileRequest `json:"entries"`
 	// TimeoutMS bounds the whole batch (capped at the server maximum).
@@ -244,9 +243,6 @@ func (s *Server) compileBatchUnit(ctx context.Context, u *batchUnit) {
 	}
 	defer func() { <-s.slots }()
 
-	if s.spec != nil {
-		s.spec.claimWarm(compilecache.Key{Fingerprint: u.f.Fingerprint(), Digest: u.opts.FullDigest()})
-	}
 	start := time.Now()
 	res, err := core.CompileContext(ctx, u.f, u.opts)
 	s.metrics.phase("compile").observe(time.Since(start))

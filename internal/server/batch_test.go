@@ -35,7 +35,7 @@ func postBatch(t *testing.T, url string, req BatchRequest) (*http.Response, *Bat
 // TestBatchMatchesSingleCompiles pins the batch contract: results arrive in
 // request order and each is identical to the same kernel compiled alone.
 func TestBatchMatchesSingleCompiles(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxInFlight: 2, SpecWorkers: 0})
+	_, ts := newTestServer(t, Config{MaxInFlight: 2})
 	kernels := []string{
 		ir.Print(workload.RandomSized(31, 120)),
 		ir.Print(workload.RandomSized(32, 80)),
@@ -58,7 +58,7 @@ func TestBatchMatchesSingleCompiles(t *testing.T) {
 
 	// A second server compiles each kernel individually; the per-entry
 	// payloads must match byte for byte (reports, allocs, emitted MIR).
-	_, single := newTestServer(t, Config{MaxInFlight: 2, SpecWorkers: 0})
+	_, single := newTestServer(t, Config{MaxInFlight: 2})
 	for i, k := range kernels {
 		got := br.Results[i]
 		if got.OK == nil {
@@ -85,7 +85,7 @@ func TestBatchMatchesSingleCompiles(t *testing.T) {
 // TestBatchDedup pins dedup attribution: identical entries share a compile
 // and the response reports how many were collapsed.
 func TestBatchDedup(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxInFlight: 2, SpecWorkers: 0})
+	s, ts := newTestServer(t, Config{MaxInFlight: 2})
 	entries := []CompileRequest{
 		{MIR: kernelMIR, Method: "bpc"},
 		{MIR: kernelMIR, Method: "bpc"},
@@ -116,7 +116,7 @@ func TestBatchDedup(t *testing.T) {
 // TestBatchDedupAcrossNames pins that structurally identical kernels under
 // different symbol names dedup but answer under their own names.
 func TestBatchDedupAcrossNames(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxInFlight: 1, SpecWorkers: 0})
+	_, ts := newTestServer(t, Config{MaxInFlight: 1})
 	renamed := strings.Replace(kernelMIR, "@axpy", "@axpy_clone", 1)
 	entries := []CompileRequest{
 		{MIR: kernelMIR, Method: "bpc", EmitMIR: true},
@@ -143,7 +143,7 @@ func TestBatchDedupAcrossNames(t *testing.T) {
 // TestBatchPerEntryErrors pins error isolation: a bad entry fails alone
 // with the single-endpoint error vocabulary; its neighbors still compile.
 func TestBatchPerEntryErrors(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxInFlight: 1, SpecWorkers: 0})
+	_, ts := newTestServer(t, Config{MaxInFlight: 1})
 	entries := []CompileRequest{
 		{MIR: kernelMIR, Method: "bpc"},
 		{MIR: "not mir at all", Method: "bpc"},
@@ -172,7 +172,7 @@ func TestBatchPerEntryErrors(t *testing.T) {
 
 // TestBatchRejectsEmptyAndOversized covers the envelope-level failures.
 func TestBatchRejectsEmptyAndOversized(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxInFlight: 1, SpecWorkers: 0})
+	_, ts := newTestServer(t, Config{MaxInFlight: 1})
 	resp, _ := postBatch(t, ts.URL, BatchRequest{})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty batch: status %d, want 400", resp.StatusCode)
@@ -192,7 +192,7 @@ func TestBatchRejectsEmptyAndOversized(t *testing.T) {
 // TestBatchDeadline pins that an expired batch deadline yields per-entry
 // 504-coded errors, not an HTTP 5xx.
 func TestBatchDeadline(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxInFlight: 1, SpecWorkers: 0})
+	_, ts := newTestServer(t, Config{MaxInFlight: 1})
 	big := ir.Print(workload.RandomSized(41, 4000))
 	entries := []CompileRequest{
 		{MIR: big, Method: "bpc"},

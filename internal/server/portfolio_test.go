@@ -94,9 +94,6 @@ func TestCompilePortfolioModule(t *testing.T) {
 			t.Errorf("%s: emit_mir missing", fr.Func)
 		}
 	}
-	if mr.ModuleToken != "" {
-		t.Errorf("portfolio compile minted a module token %q", mr.ModuleToken)
-	}
 
 	st := s.Statz()
 	if st.Methods == nil {

@@ -33,7 +33,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -70,12 +69,6 @@ type Config struct {
 	// Workers bounds the per-request module fan-out (core.Options.Workers;
 	// default 0 = GOMAXPROCS).
 	Workers int
-	// ModuleTokens caps the count of module priors retained for incremental
-	// recompiles (default 64; < 0 disables token minting).
-	ModuleTokens int
-	// SpecWorkers is the number of background workers precompiling likely
-	// sweep neighbors in idle admission slots (0 disables speculation).
-	SpecWorkers int
 	// DiskCacheDir, when non-empty, layers a persistent on-disk result
 	// store under the in-memory compile cache: full-layer misses consult
 	// the directory before compiling, and fresh results are written behind.
@@ -104,9 +97,6 @@ func (cfg Config) Normalize() Config {
 	if cfg.MaxTimeout <= 0 {
 		cfg.MaxTimeout = 60 * time.Second
 	}
-	if cfg.ModuleTokens == 0 {
-		cfg.ModuleTokens = 64
-	}
 	return cfg
 }
 
@@ -116,12 +106,6 @@ type Server struct {
 	cfg     Config
 	cache   *compilecache.Cache
 	metrics *metrics
-	// tokens retains module priors for incremental recompiles, keyed by the
-	// deterministic module token handed back in ModuleResponse.
-	tokens *tokenStore
-	// spec precompiles sweep neighbors in idle slots; nil when disabled.
-	spec     *speculator
-	specStop sync.Once
 
 	// disk is the persistent second cache level; nil when not configured.
 	disk *diskcache.Store
@@ -155,12 +139,6 @@ func New(cfg Config) (*Server, error) {
 		s.disk = store
 		s.cache.SetFullBacking(core.NewDiskBacking(store))
 	}
-	if cfg.ModuleTokens > 0 {
-		s.tokens = newTokenStore(cfg.ModuleTokens)
-	}
-	if cfg.SpecWorkers > 0 {
-		s.spec = newSpeculator(s, cfg.SpecWorkers)
-	}
 	return s, nil
 }
 
@@ -184,14 +162,7 @@ func (s *Server) Close() {
 
 // SetDraining marks the server as draining: healthz answers 503 so load
 // balancers stop routing, while in-flight requests finish normally.
-// Draining also cancels and permanently stops the speculator — background
-// work must never delay shutdown.
-func (s *Server) SetDraining(v bool) {
-	s.draining.Store(v)
-	if v && s.spec != nil {
-		s.specStop.Do(s.spec.stop)
-	}
-}
+func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 
 // Handler returns the daemon's HTTP routes.
 func (s *Server) Handler() http.Handler {
@@ -206,6 +177,27 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/healthz", s.serveHealthz)
 	mux.HandleFunc("/statz", s.serveStatz)
 	return mux
+}
+
+// Connection timeouts of the daemon and router listeners (NewHTTPServer).
+const (
+	// ReadHeaderTimeout bounds how long a connection may take to send its
+	// request headers; a client that stalls mid-header is disconnected
+	// instead of pinning a goroutine and a file descriptor forever.
+	ReadHeaderTimeout = 5 * time.Second
+	// IdleTimeout closes keep-alive connections idle between requests.
+	IdleTimeout = 2 * time.Minute
+)
+
+// NewHTTPServer returns an http.Server for h on addr with the listener
+// timeouts above. prescountd and prescountrouter both serve through it.
+func NewHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: ReadHeaderTimeout,
+		IdleTimeout:       IdleTimeout,
+	}
 }
 
 // Error codes of the JSON error envelope (docs/API.md).
@@ -269,11 +261,6 @@ type CompileRequest struct {
 	// TimeoutMS shortens the request deadline below the server default
 	// (capped at the server maximum).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// PriorToken references an earlier /v1/compile/module result (its
-	// module_token): functions unchanged since that compile are reused
-	// without recompiling. An unknown or expired token compiles from
-	// scratch — never an error.
-	PriorToken string `json:"prior_token,omitempty"`
 }
 
 // ReportJSON mirrors conflict.Report with stable JSON names.
@@ -369,14 +356,6 @@ type ModuleResponse struct {
 	Funcs  []FuncResponse `json:"funcs"`
 	Totals ReportJSON     `json:"totals"`
 	WallNS int64          `json:"wall_ns"`
-	// ModuleToken names this result for incremental recompiles: pass it as
-	// prior_token on the next compile of an edited version of this module
-	// and unchanged functions are reused. Absent on verified compiles.
-	ModuleToken string `json:"module_token,omitempty"`
-	// ReusedFuncs/CompiledFuncs attribute the work: functions satisfied by
-	// the prior without compiling versus compiled (cache hits included).
-	ReusedFuncs   int `json:"reused_funcs"`
-	CompiledFuncs int `json:"compiled_funcs"`
 }
 
 func (s *Server) serveHealthz(w http.ResponseWriter, r *http.Request) {
@@ -456,32 +435,10 @@ func (s *Server) serveCompile(w http.ResponseWriter, r *http.Request, module boo
 		return
 	}
 
-	// Incremental recompile: resolve the client's prior token. Unknown or
-	// expired tokens simply compile from scratch. Portfolio requests skip
-	// priors — a prior is bound to one method's digest, not a race.
-	if module && s.tokens != nil && req.PriorToken != "" && pmode == "" {
-		if prior := s.tokens.Get(req.PriorToken); prior != nil {
-			s.metrics.tokenHits.Add(1)
-			opts.Prior = prior
-		} else {
-			s.metrics.tokenMisses.Add(1)
-		}
-	}
-
-	// Attribute speculative precompiles: any function of this request whose
-	// full-layer entry was filled by the speculator is a warm hit. (A
-	// portfolio request has no single digest; attribution is skipped.)
-	if s.spec != nil && pmode == "" {
-		digest := opts.FullDigest()
-		for _, f := range mod.SortedFuncs() {
-			s.spec.claimWarm(compilecache.Key{Fingerprint: f.Fingerprint(), Digest: digest})
-		}
-	}
-
 	// Compile phase. Portfolio modes route through internal/portfolio (every
 	// candidate shares this server's cache, so the method-independent prefix
 	// compiles once per function); single methods take the core path with its
-	// full-result cache and incremental priors.
+	// full-result cache.
 	compileStart := time.Now()
 	var mres *core.ModuleResult
 	var pres *portfolio.ModuleResult
@@ -545,14 +502,6 @@ func (s *Server) serveCompile(w http.ResponseWriter, r *http.Request, module boo
 		funcs = append(funcs, fr)
 	}
 
-	// Speculatively precompile the sweep neighbors (adjacent bank counts)
-	// of this now-warm request in idle slots. Checked compiles bypass the
-	// cache, so speculating on them would be wasted work; portfolio
-	// requests have no single-method neighborhood to speculate on.
-	if s.spec != nil && opts.Check == core.CheckNone && pmode == "" && !s.draining.Load() {
-		s.spec.enqueue(mod, opts)
-	}
-
 	s.metrics.ok.Add(1)
 	wall := time.Since(total)
 	s.metrics.phase("total").observe(wall)
@@ -564,16 +513,8 @@ func (s *Server) serveCompile(w http.ResponseWriter, r *http.Request, module boo
 		}
 		if pres != nil {
 			resp.Totals = reportJSON(&pres.Totals)
-			resp.CompiledFuncs = len(funcs)
 		} else {
 			resp.Totals = reportJSON(&mres.Totals)
-			resp.ReusedFuncs = mres.ReusedFuncs
-			resp.CompiledFuncs = mres.CompiledFuncs
-			s.metrics.reusedFuncs.Add(int64(mres.ReusedFuncs))
-			s.metrics.compiledFuncs.Add(int64(mres.CompiledFuncs))
-			if s.tokens != nil && mres.Prior != nil {
-				resp.ModuleToken = s.tokens.Put(mres.Prior)
-			}
 		}
 		s.respond(w, http.StatusOK, resp)
 		return
@@ -589,12 +530,6 @@ func (s *Server) admit(w http.ResponseWriter, ctx context.Context) bool {
 	case s.slots <- struct{}{}:
 		return true
 	default:
-	}
-	// Every slot is busy. If any of them is a speculative compile, cancel
-	// it — admitted work always preempts speculation, and the cancelled
-	// compile releases its slot at the next phase boundary.
-	if s.spec != nil {
-		s.spec.preempt()
 	}
 	if q := s.queued.Add(1); q > int64(s.cfg.MaxQueue) {
 		s.queued.Add(-1)
@@ -682,9 +617,6 @@ func optionsFromQuery(req *CompileRequest, r *http.Request) error {
 	}
 	if v := q.Get("method"); v != "" {
 		req.Method = v
-	}
-	if v := q.Get("prior_token"); v != "" {
-		req.PriorToken = v
 	}
 	if v := q.Get("thres"); v != "" {
 		t, err := strconv.ParseFloat(v, 64)

@@ -108,11 +108,6 @@ type metrics struct {
 	parseErrors, compileErrors atomic.Int64
 	rejected, deadlines        atomic.Int64
 
-	// Incremental-recompile accounting: prior-token lookups and the
-	// per-function reuse they produced.
-	tokenHits, tokenMisses     atomic.Int64
-	reusedFuncs, compiledFuncs atomic.Int64
-
 	// Batch accounting: requests to /v1/compile/batch, entries across
 	// them, and entries collapsed onto an identical sibling.
 	batchRequests, batchEntries, batchDeduped atomic.Int64
@@ -237,21 +232,6 @@ type MethodStatz struct {
 	SelectorPicks int64            `json:"selector_picks,omitempty"`
 }
 
-// IncrementalStatz is the /statz incremental-recompile section.
-type IncrementalStatz struct {
-	// TokensRetained is the current module-prior LRU population;
-	// MaxTokens its cap.
-	TokensRetained int `json:"tokens_retained"`
-	MaxTokens      int `json:"max_tokens"`
-	// TokenHits/TokenMisses count prior_token resolutions.
-	TokenHits   int64 `json:"token_hits"`
-	TokenMisses int64 `json:"token_misses"`
-	// ReusedFuncs/CompiledFuncs sum the per-request attribution over all
-	// module compiles.
-	ReusedFuncs   int64 `json:"reused_funcs"`
-	CompiledFuncs int64 `json:"compiled_funcs"`
-}
-
 // Statz is the full /statz document. The same value is published through
 // expvar (see PublishExpvar), so external scrapers get one schema.
 type Statz struct {
@@ -266,8 +246,6 @@ type Statz struct {
 	Cache       CacheStatz          `json:"cache"`
 	Disk        *DiskStatz          `json:"disk,omitempty"`
 	Batch       BatchStatz          `json:"batch"`
-	Incremental *IncrementalStatz   `json:"incremental,omitempty"`
-	Speculation *SpecStatz          `json:"speculation,omitempty"`
 	Phases      map[string]HistJSON `json:"phases"`
 }
 
@@ -348,20 +326,6 @@ func (s *Server) Statz() Statz {
 			MaxBytes:    s.disk.MaxBytes(),
 			Entries:     ds.Entries,
 		}
-	}
-	if s.tokens != nil {
-		out.Incremental = &IncrementalStatz{
-			TokensRetained: s.tokens.Len(),
-			MaxTokens:      s.cfg.ModuleTokens,
-			TokenHits:      s.metrics.tokenHits.Load(),
-			TokenMisses:    s.metrics.tokenMisses.Load(),
-			ReusedFuncs:    s.metrics.reusedFuncs.Load(),
-			CompiledFuncs:  s.metrics.compiledFuncs.Load(),
-		}
-	}
-	if s.spec != nil {
-		st := s.spec.statz(s.cfg.SpecWorkers)
-		out.Speculation = &st
 	}
 	for _, n := range phaseNames {
 		out.Phases[n] = s.metrics.phases[n].snapshot()

@@ -2,7 +2,7 @@
 // serving stack. A struct-field mutex declares what it protects in a
 // comment —
 //
-//	mu sync.Mutex // guards: running, speculated
+//	mu sync.Mutex // guards: full, prefix, alloc
 //
 // — and the analyzer then checks, function by function, that every access
 // to a guarded field sits inside a Lock/Unlock span of that mutex on the
