@@ -24,7 +24,6 @@ package regalloc
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -222,8 +221,10 @@ type allocator struct {
 	fpUnions  []liveness.Union
 	gprUnions []liveness.Union
 
-	// assignment maps vreg -> physical index within its class file.
-	assignment map[ir.Reg]int
+	// assignment[v] is the physical index within its class file of the
+	// vreg with VirtIndex v, -1 while unassigned. It and pseudoParent are
+	// indexed by vreg and grow with every register newVReg creates.
+	assignment []int32
 	// intervals can be overridden for spill pseudo-registers whose ranges
 	// are synthesized rather than computed.
 	override map[ir.Reg]*liveness.Interval
@@ -238,10 +239,11 @@ type allocator struct {
 	// remat maps rematerializable spilled vregs to their constant-producing
 	// definition.
 	remat map[ir.Reg]*ir.Instr
-	// pseudoParent maps a spill pseudo-register to the spilled register it
-	// stands in for; hint lookups resolve through it (the paper's
-	// Algorithm 2 handles such allocator-created registers explicitly).
-	pseudoParent map[ir.Reg]ir.Reg
+	// pseudoParent[v] is the register a spill pseudo-register or split
+	// child stands in for (NoReg for every other vreg); hint lookups
+	// resolve through it (the paper's Algorithm 2 handles such
+	// allocator-created registers explicitly).
+	pseudoParent []ir.Reg
 	// spanMembers maps a span pseudo to the instructions it serves;
 	// firstReload marks the site that emits the span's single reload.
 	spanMembers map[ir.Reg][]*ir.Instr
@@ -252,11 +254,15 @@ type allocator struct {
 	splitDone ir.RegSet
 
 	// subgroup bookkeeping (Algorithm 2).
-	usage []int // per-subgroup accumulated usage
+	usage     []int       // per-subgroup accumulated usage
+	groupSize map[int]int // SDG group id -> member count
 
 	// conflictSites caches each register's hottest conflict-relevant
-	// instruction for the bcr heuristic (built lazily).
-	conflictSites map[ir.Reg]*ir.Instr
+	// instruction for the bcr heuristic, indexed by vreg (built lazily,
+	// with siteCost the frequency of the chosen site).
+	conflictSites []*ir.Instr
+	siteCost      []float64
+	sitesBuilt    bool
 
 	// victimScratch is the reusable ConflictsWithAppend buffer of the
 	// eviction scan: assignOne probes every candidate register, so the
@@ -267,14 +273,10 @@ type allocator struct {
 	// allocation-free.
 	vsScratch, bestVictims []ir.Reg
 
-	// Candidate-building scratch (hints.go). bpcCandidates nests a
-	// bcrCandidates call, so the two get distinct buffers; calleeBuf and
-	// callerBuf serve assignOne's CSR-aware reordering.
-	candSeen             []bool
-	candOut              []int
-	bcrAvoid             []bool
-	bcrGood, bcrBad      []int
-	calleeBuf, callerBuf []int
+	// fpOrder is allocOrder of the FP file, looked up once per run.
+	fpOrder []int
+	// bankMask is the candidate iterator's avoided-bank bitmask scratch.
+	bankMask []uint64
 
 	// callSlots and clobber are the fixed-clobber scratch: every
 	// caller-saved register of both classes shares the one clobber
@@ -309,19 +311,26 @@ func (a *allocator) init(f *ir.Func, opts Options) {
 		AssignedPhys: make(map[ir.Reg]int, len(f.VRegs)),
 		GroupDispl:   map[int]int{},
 	}
-	if a.assignment == nil {
-		a.assignment = map[ir.Reg]int{}
+	a.assignment = resizeFilled(a.assignment, len(f.VRegs), -1)
+	a.pseudoParent = resizeFilled(a.pseudoParent, len(f.VRegs), ir.NoReg)
+	if a.spillSlot == nil {
 		a.spillSlot = map[ir.Reg]int{}
 		a.override = map[ir.Reg]*liveness.Interval{}
 		a.weightOverride = map[ir.Reg]float64{}
 		a.sitePseudo = map[siteKey]ir.Reg{}
 		a.remat = map[ir.Reg]*ir.Instr{}
-		a.pseudoParent = map[ir.Reg]ir.Reg{}
+		a.groupSize = map[int]int{}
 		a.spanMembers = map[ir.Reg][]*ir.Instr{}
 		a.firstReload = map[siteKey]bool{}
 		a.splits = map[ir.Reg][]splitPlan{}
 	}
 	a.usage = resizeZeroed(a.usage, opts.Cfg.NumSubgroups)
+	a.fpOrder = allocOrder(opts.Cfg.NumRegs)
+	if opts.Method == MethodBPC && opts.Cfg.HasSubgroups() {
+		for _, g := range opts.SubgroupGroups {
+			a.groupSize[g]++
+		}
+	}
 	if cap(a.fpUnions) < opts.Cfg.NumRegs {
 		a.fpUnions = make([]liveness.Union, opts.Cfg.NumRegs)
 	} else {
@@ -337,19 +346,19 @@ func (a *allocator) init(f *ir.Func, opts Options) {
 // release clears every per-compile reference — the pool must retain no IR or
 // intervals from the finished function — and returns the allocator.
 func (a *allocator) release() {
-	clear(a.assignment)
 	clear(a.spillSlot)
 	clear(a.override)
 	clear(a.weightOverride)
 	clear(a.sitePseudo)
 	clear(a.remat)
-	clear(a.pseudoParent)
+	clear(a.groupSize)
 	clear(a.spanMembers)
 	clear(a.firstReload)
 	clear(a.splits)
 	a.spilled.Clear()
 	a.splitDone.Clear()
-	a.conflictSites = nil
+	clear(a.conflictSites)
+	a.sitesBuilt = false
 	for i := range a.fpUnions {
 		a.fpUnions[i].Reset()
 	}
@@ -369,7 +378,7 @@ func (a *allocator) release() {
 
 // resizeZeroed returns s with length n and every element zero, reusing the
 // backing array when it is large enough.
-func resizeZeroed[T int | bool | *liveness.Interval](s []T, n int) []T {
+func resizeZeroed[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n)
 	}
@@ -378,7 +387,78 @@ func resizeZeroed[T int | bool | *liveness.Interval](s []T, n int) []T {
 	return s
 }
 
+// resizeFilled returns s with length n and every element v, reusing the
+// backing array when it is large enough.
+func resizeFilled[T any](s []T, n int, v T) []T {
+	if cap(s) < n {
+		s = make([]T, n)
+	}
+	s = s[:n]
+	for i := range s {
+		s[i] = v
+	}
+	return s
+}
+
+// newVReg creates an allocator-owned virtual register (spill pseudo or
+// split child), growing the per-vreg tables with it.
+func (a *allocator) newVReg(c ir.Class) ir.Reg {
+	r := a.f.NewVReg(c)
+	a.assignment = append(a.assignment, -1)
+	a.pseudoParent = append(a.pseudoParent, ir.NoReg)
+	return r
+}
+
+// origin resolves a spill pseudo-register or split child to the register
+// it stands in for; any other register is its own origin.
+func (a *allocator) origin(r ir.Reg) ir.Reg {
+	if p := a.pseudoParent[r.VirtIndex()]; p != ir.NoReg {
+		return p
+	}
+	return r
+}
+
+// physIndex returns r's physical index within its class file. An
+// unassigned register — one never live, so it was never queued — encodes
+// as index 0.
+func (a *allocator) physIndex(r ir.Reg) int {
+	return max(int(a.assignment[r.VirtIndex()]), 0)
+}
+
 func (a *allocator) run() error {
+	a.start()
+	guard := 0
+	maxSteps := 50 * (len(a.f.VRegs) + 10) * (a.opts.Cfg.NumRegs + numGPRFile)
+	for a.queue.Len() > 0 {
+		guard++
+		if guard > maxSteps {
+			return fmt.Errorf("regalloc: %s: allocation did not converge", a.f.Name)
+		}
+		r := a.queue.pop()
+		if a.assignment[r.VirtIndex()] >= 0 {
+			continue
+		}
+		if err := a.assignOne(r); err != nil {
+			return err
+		}
+	}
+	a.queue.release()
+	a.queue = nil
+	if a.opts.Record {
+		record(a.res, a.f, a.lv, func(r ir.Reg) (int, bool) { p := a.assignment[r.VirtIndex()]; return int(p), p >= 0 },
+			a.intervalOf, a.spillSlot)
+	}
+	a.materialize()
+	a.f.MarkMutated()
+	if ac := a.opts.Analyses; ac != nil {
+		ac.RetainCFG() // spill code and operand rewrites keep control flow
+	}
+	return a.f.Verify()
+}
+
+// start fetches the analyses, builds the call clobbers and queues every
+// live virtual register.
+func (a *allocator) start() {
 	if ac := a.opts.Analyses; ac != nil {
 		a.cf = ac.CFG()
 		a.lv = ac.Liveness()
@@ -397,34 +477,6 @@ func (a *allocator) run() error {
 		}
 		a.queue.push(r, a.priorityOf(r))
 	}
-
-	guard := 0
-	maxSteps := 50 * (len(a.f.VRegs) + 10) * (a.opts.Cfg.NumRegs + numGPRFile)
-	for a.queue.Len() > 0 {
-		guard++
-		if guard > maxSteps {
-			return fmt.Errorf("regalloc: %s: allocation did not converge", a.f.Name)
-		}
-		r := a.queue.pop()
-		if _, done := a.assignment[r]; done {
-			continue
-		}
-		if err := a.assignOne(r); err != nil {
-			return err
-		}
-	}
-	a.queue.release()
-	a.queue = nil
-	if a.opts.Record {
-		record(a.res, a.f, a.lv, func(r ir.Reg) (int, bool) { p, ok := a.assignment[r]; return p, ok },
-			a.intervalOf, a.spillSlot)
-	}
-	a.materialize()
-	a.f.MarkMutated()
-	if ac := a.opts.Analyses; ac != nil {
-		ac.RetainCFG() // spill code and operand rewrites keep control flow
-	}
-	return a.f.Verify()
 }
 
 // buildFixedClobbers records, for every caller-saved physical register, a
@@ -462,29 +514,20 @@ func (a *allocator) buildFixedClobbers() {
 	}
 }
 
-// fixedOf returns the clobber interval of a physical register (nil if the
-// register is callee-saved or there are no calls).
-func (a *allocator) fixedOf(c ir.Class, p int) *liveness.Interval {
+// fixed returns the class's per-register clobber intervals (nil entries
+// for callee-saved registers, or everywhere when there are no calls).
+func (a *allocator) fixed(c ir.Class) []*liveness.Interval {
 	if c == ir.ClassFP {
-		return a.fixedFP[p]
+		return a.fixedFP
 	}
-	return a.fixedGPR[p]
+	return a.fixedGPR
 }
 
 // spansCall reports whether the interval overlaps any call-site clobber.
-func (a *allocator) spansCall(c ir.Class, iv *liveness.Interval) bool {
-	// Every caller-saved register carries the same clobber interval; probe
-	// the first one of the class.
-	fixed := a.fixedFP
-	if c == ir.ClassGPR {
-		fixed = a.fixedGPR
-	}
-	for _, fx := range fixed {
-		if fx != nil {
-			return fx.Overlaps(iv)
-		}
-	}
-	return false
+// Every caller-saved register of either class carries the one shared
+// clobber interval, and both classes have caller-saved registers.
+func (a *allocator) spansCall(iv *liveness.Interval) bool {
+	return len(a.callSlots) > 0 && a.clobber.Overlaps(iv)
 }
 
 func (a *allocator) classOf(r ir.Reg) ir.Class { return a.f.VRegs[r.VirtIndex()].Class }
@@ -539,29 +582,19 @@ func (a *allocator) assignOne(r ir.Reg) error {
 	c := a.classOf(r)
 	iv := a.intervalOf(r)
 	unions := a.unions(c)
+	fixed := a.fixed(c)
 	cands := a.candidates(r, c)
 	// CSR-aware ordering: an interval crossing a call can only live in
 	// callee-saved registers, so try those first (stable within each
 	// group) instead of burning through doomed caller-saved candidates.
-	if a.spansCall(c, iv) {
-		callee := a.calleeBuf[:0]
-		caller := a.callerBuf[:0]
-		for _, p := range cands {
-			if a.fixedOf(c, p) != nil {
-				caller = append(caller, p)
-			} else {
-				callee = append(callee, p)
-			}
-		}
-		callee = append(callee, caller...)
-		a.calleeBuf, a.callerBuf = callee, caller
-		cands = callee
+	if a.spansCall(iv) {
+		cands.calleeFirst(fixed)
 	}
 
 	// Stage 1: first free candidate (callee-saved availability included:
 	// a caller-saved register is unusable for intervals spanning a call).
-	for _, p := range cands {
-		if fx := a.fixedOf(c, p); fx != nil && fx.Overlaps(iv) {
+	for p, ok := cands.next(); ok; p, ok = cands.next() {
+		if fx := fixed[p]; fx != nil && fx.Overlaps(iv) {
 			continue
 		}
 		if !unions[p].HasConflict(iv) {
@@ -576,8 +609,9 @@ func (a *allocator) assignOne(r ir.Reg) error {
 	bestP := -1
 	bestCost := math.Inf(1)
 	a.bestVictims = a.bestVictims[:0]
-	for _, p := range cands {
-		if fx := a.fixedOf(c, p); fx != nil && fx.Overlaps(iv) {
+	cands.reset()
+	for p, ok := cands.next(); ok; p, ok = cands.next() {
+		if fx := fixed[p]; fx != nil && fx.Overlaps(iv) {
 			continue // call clobbers are not evictable
 		}
 		a.victimScratch = unions[p].ConflictsWithAppend(a.victimScratch, iv)
@@ -627,7 +661,7 @@ func (a *allocator) assignOne(r ir.Reg) error {
 }
 
 func (a *allocator) place(r ir.Reg, c ir.Class, p int) {
-	a.assignment[r] = p
+	a.assignment[r.VirtIndex()] = int32(p)
 	a.unions(c)[p].Insert(r, a.intervalOf(r))
 	if c == ir.ClassFP {
 		a.res.AssignedPhys[r] = p
@@ -641,7 +675,7 @@ func (a *allocator) place(r ir.Reg, c ir.Class, p int) {
 
 func (a *allocator) evict(r ir.Reg, c ir.Class, p int) {
 	a.unions(c)[p].Remove(r)
-	delete(a.assignment, r)
+	a.assignment[r.VirtIndex()] = -1
 	delete(a.res.AssignedPhys, r)
 	a.res.Evictions++
 	a.queue.push(r, a.priorityOf(r))
@@ -762,12 +796,11 @@ func record(res *Result, f *ir.Func, lv *liveness.Info,
 	}
 }
 
-// sortedRegs returns 0..n-1; kept as a helper for candidate building.
+// sortedRegs returns 0..n-1, the ascending candidate order.
 func sortedRegs(n int) []int {
 	out := make([]int, n)
 	for i := range out {
 		out[i] = i
 	}
-	sort.Ints(out)
 	return out
 }

@@ -52,7 +52,7 @@ func (a *allocator) spill(r ir.Reg, c ir.Class) {
 			start := span[0].slot
 			end := span[len(span)-1].slot + 1
 			p := a.newPseudo(c, start, end)
-			a.pseudoParent[p] = r
+			a.pseudoParent[p.VirtIndex()] = r
 			for i, site := range span {
 				a.sitePseudo[siteKey{site.in, r, false}] = p
 				if i == 0 {
@@ -94,7 +94,7 @@ func (a *allocator) spill(r ir.Reg, c ir.Class) {
 					flush()
 					p := a.newPseudo(c, s+1, s+2)
 					a.sitePseudo[siteKey{in, r, true}] = p
-					a.pseudoParent[p] = r
+					a.pseudoParent[p.VirtIndex()] = r
 					break
 				}
 			}
@@ -111,7 +111,7 @@ func (a *allocator) demoteSpan(p ir.Reg) bool {
 	if len(members) <= 1 {
 		return false
 	}
-	parent := a.pseudoParent[p]
+	parent := a.pseudoParent[p.VirtIndex()]
 	c := a.classOf(p)
 	delete(a.spanMembers, p)
 	delete(a.override, p)
@@ -127,7 +127,7 @@ func (a *allocator) demoteSpan(p ir.Reg) bool {
 			}
 			s := a.lv.ReadSlot(b, i)
 			np := a.newPseudo(c, s, s+1)
-			a.pseudoParent[np] = parent
+			a.pseudoParent[np.VirtIndex()] = parent
 			a.sitePseudo[key] = np
 			a.firstReload[key] = true
 			a.spanMembers[np] = []*ir.Instr{in}
@@ -162,7 +162,7 @@ func (a *allocator) rematSource(r ir.Reg) *ir.Instr {
 
 // newPseudo creates a spill pseudo-register with a synthesized interval.
 func (a *allocator) newPseudo(c ir.Class, start, end int) ir.Reg {
-	p := a.f.NewVReg(c)
+	p := a.newVReg(c)
 	iv := &liveness.Interval{}
 	iv.Add(start, end)
 	a.override[p] = iv
@@ -175,13 +175,7 @@ func (a *allocator) newPseudo(c ir.Class, start, end int) ir.Reg {
 // planned spill code.
 func (a *allocator) materialize() {
 	cfg := a.opts.Cfg
-	encode := func(r ir.Reg) ir.Reg {
-		p := a.assignment[r]
-		if a.classOf(r) == ir.ClassFP {
-			return ir.FReg(p)
-		}
-		return ir.XReg(p)
-	}
+	encode := a.physOf
 
 	for _, b := range a.f.Blocks {
 		out := make([]*ir.Instr, 0, len(b.Instrs))

@@ -34,7 +34,7 @@ type splitPlan struct {
 // shrunken parent goes back on the queue, where it often fits or, at
 // worst, spills only its cold remainder.
 func (a *allocator) trySplitAroundLoop(r ir.Reg, c ir.Class) bool {
-	if _, isChild := a.pseudoParent[r]; isChild {
+	if a.origin(r) != r {
 		return false // split/spill products are never re-split
 	}
 	if a.splitDone.Has(r) {
@@ -53,13 +53,13 @@ func (a *allocator) trySplitAroundLoop(r ir.Reg, c ir.Class) bool {
 
 	// Build the child interval and verify it can be placed right now in a
 	// free register; otherwise splitting would only defer a spill.
-	child := a.f.NewVReg(c)
+	child := a.newVReg(c)
 	civ := &liveness.Interval{}
 	civ.Add(ls, le)
 	civ.Weight = iv.Weight
 	a.override[child] = civ
 	a.weightOverride[child] = math.Inf(1) // placed once, never evicted
-	a.pseudoParent[child] = r
+	a.pseudoParent[child.VirtIndex()] = r
 
 	// The child is pinned (never evicted), so committing it must leave
 	// spare capacity in the loop region for spill pseudo-registers of
@@ -67,8 +67,10 @@ func (a *allocator) trySplitAroundLoop(r ir.Reg, c ir.Class) bool {
 	// store at once.
 	const reserve = 4
 	phys, free := -1, 0
-	for _, p := range a.candidates(child, c) {
-		if fx := a.fixedOf(c, p); fx != nil && fx.Overlaps(civ) {
+	fixed := a.fixed(c)
+	cands := a.candidates(child, c)
+	for p, ok := cands.next(); ok; p, ok = cands.next() {
+		if fx := fixed[p]; fx != nil && fx.Overlaps(civ) {
 			continue
 		}
 		if !a.unions(c)[p].HasConflict(civ) {
@@ -85,7 +87,7 @@ func (a *allocator) trySplitAroundLoop(r ir.Reg, c ir.Class) bool {
 		// Abort: undo the tentative child.
 		delete(a.override, child)
 		delete(a.weightOverride, child)
-		delete(a.pseudoParent, child)
+		a.pseudoParent[child.VirtIndex()] = ir.NoReg
 		return false
 	}
 	a.place(child, c, phys)
@@ -341,7 +343,7 @@ func (a *allocator) materializeSplits() {
 
 // physOf encodes the physical register assigned to a virtual register.
 func (a *allocator) physOf(r ir.Reg) ir.Reg {
-	p := a.assignment[r]
+	p := a.physIndex(r)
 	if a.classOf(r) == ir.ClassFP {
 		return ir.FReg(p)
 	}

@@ -8,6 +8,7 @@ package sched
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"prescount/internal/ir"
 )
@@ -18,17 +19,30 @@ type Stats struct {
 	Reordered int
 }
 
+// scoreEvals counts score evaluations, flushed once per Run. The counter
+// lets a test pin scheduling work linear in block size: scores are cached
+// and re-evaluated only where a register's remaining-use count can flip an
+// instruction's kill status.
+var scoreEvals atomic.Int64
+
+// ScoreEvals returns the number of scheduler score evaluations run so far
+// in the process.
+func ScoreEvals() int64 { return scoreEvals.Load() }
+
 // Run schedules every block of f in place. Reordering preserves control
 // flow, so callers holding an analysis cache may retain the CFG; liveness
 // is invalidated through the function's mutation generation.
 func Run(f *ir.Func) Stats {
 	var st Stats
 	sc := scratchPool.Get().(*blockScratch)
+	sc.numVirt = len(f.VRegs)
 	for _, b := range f.Blocks {
-		if scheduleBlock(f, b, sc) {
+		if sc.scheduleBlock(f, b) {
 			st.Reordered++
 		}
 	}
+	scoreEvals.Add(sc.evals)
+	sc.evals = 0
 	scratchPool.Put(sc)
 	if st.Reordered > 0 {
 		f.MarkMutated()
@@ -46,29 +60,62 @@ type blockScratch struct {
 	// counts every recorded edge, so increments and release decrements stay
 	// consistent.
 	succs [][]int32
-	indeg []int32
-	// use chains: useHead maps a register to its most recent use node;
-	// useNext/useInstr are parallel arrays forming per-register linked
-	// lists (the slice-of-slices lastUses this replaces allocated a fresh
-	// list per register per block).
-	useHead  map[ir.Reg]int32
-	useNext  []int32
-	useInstr []int32
-	lastDef  map[ir.Reg]int32
-	remUses  map[ir.Reg]int32
-	memOps   []int32
-	ready    []int32
-	order    []int32
+	instr []instrState
+
+	// Register tables, indexed by slot (see slot): an entry is valid only
+	// while its stamp equals epoch, and each block takes a fresh epoch, so
+	// a block resets exactly the entries it touches, lazily.
+	numVirt int
+	epoch   uint32
+	stamp   []uint32
+	// lastDef is the register's last defining instruction (-1: none).
+	lastDef []int32
+	// useHead is the register's most recent use node since its last
+	// definition (-1: none); useNext/useInstr chain the nodes, so a
+	// definition finds every use it must follow (WAR).
+	useHead           []int32
+	useNext, useInstr []int32
+	// local numbers the virtual registers a block uses densely (-1: not
+	// used); rem, isFP and userHead are indexed by that number.
+	local []int32
+	// rem counts a register's uses not yet scheduled.
+	rem  []int32
+	isFP []bool
+	// userHead chains, through userNext/userInstr, one node per
+	// instruction reading the register: the instructions whose score can
+	// change when rem does.
+	userHead            []int32
+	userNext, userInstr []int32
+
+	memOps []int32
+	heap   []int32
+	order  []int32
+	evals  int64
 }
 
-var scratchPool = sync.Pool{New: func() any {
-	return &blockScratch{
-		useHead: map[ir.Reg]int32{},
-		lastDef: map[ir.Reg]int32{},
-		remUses: map[ir.Reg]int32{},
-	}
-}}
+// instrState is the scheduling state of one body instruction.
+type instrState struct {
+	indeg int32
+	// defFP/defGPR count the instruction's virtual definitions per class:
+	// the constant part of its score.
+	defFP, defGPR int32
+	// fp/gpr is the cached score: net FP and GPR live growth if the
+	// instruction were scheduled now.
+	fp, gpr int32
+	// pos is the instruction's ready-heap index, notReady before its last
+	// dependence is released, scheduled after it is picked.
+	pos int32
+}
 
+const (
+	notReady  = -1
+	scheduled = -2
+)
+
+var scratchPool = sync.Pool{New: func() any { return new(blockScratch) }}
+
+// prepare sizes the per-instruction state for an n-instruction body and
+// starts a new epoch, invalidating every register-table entry.
 func (sc *blockScratch) prepare(n int) {
 	if cap(sc.succs) < n {
 		sc.succs = make([][]int32, n)
@@ -78,25 +125,62 @@ func (sc *blockScratch) prepare(n int) {
 	for i := range sc.succs {
 		sc.succs[i] = sc.succs[i][:0]
 	}
-	if cap(sc.indeg) < n {
-		sc.indeg = make([]int32, n)
+	if cap(sc.instr) < n {
+		sc.instr = make([]instrState, n)
 	} else {
-		sc.indeg = sc.indeg[:n]
-		clear(sc.indeg)
+		sc.instr = sc.instr[:n]
+		clear(sc.instr)
 	}
 	sc.useNext = sc.useNext[:0]
 	sc.useInstr = sc.useInstr[:0]
+	sc.rem = sc.rem[:0]
+	sc.isFP = sc.isFP[:0]
+	sc.userHead = sc.userHead[:0]
+	sc.userNext = sc.userNext[:0]
+	sc.userInstr = sc.userInstr[:0]
 	sc.memOps = sc.memOps[:0]
-	sc.ready = sc.ready[:0]
+	sc.heap = sc.heap[:0]
 	sc.order = sc.order[:0]
-	clear(sc.useHead)
-	clear(sc.lastDef)
-	clear(sc.remUses)
+	sc.epoch++
+	if sc.epoch == 0 {
+		clear(sc.stamp)
+		sc.epoch = 1
+	}
+}
+
+// slot returns the register-table index of r — its VirtIndex if virtual,
+// past the function's virtual registers if physical — initializing the
+// entry on the block's first touch.
+func (sc *blockScratch) slot(r ir.Reg) int {
+	s := sc.numVirt + int(r)
+	if r.IsVirt() {
+		s = r.VirtIndex()
+	}
+	if s >= len(sc.stamp) {
+		sc.grow(s + 1)
+	}
+	if sc.stamp[s] != sc.epoch {
+		sc.stamp[s] = sc.epoch
+		sc.lastDef[s] = -1
+		sc.useHead[s] = -1
+		sc.local[s] = -1
+	}
+	return s
+}
+
+// grow extends the register tables to at least n entries; new entries
+// carry a zero stamp, which no epoch uses.
+func (sc *blockScratch) grow(n int) {
+	n = max(n, 2*len(sc.stamp), sc.numVirt+2*ir.NumGPR)
+	sc.stamp = append(sc.stamp, make([]uint32, n-len(sc.stamp))...)
+	sc.lastDef = append(sc.lastDef, make([]int32, n-len(sc.lastDef))...)
+	sc.useHead = append(sc.useHead, make([]int32, n-len(sc.useHead))...)
+	sc.local = append(sc.local, make([]int32, n-len(sc.local))...)
 }
 
 // scheduleBlock performs a forward list scheduling of one block. It returns
 // whether the order changed.
-func scheduleBlock(f *ir.Func, b *ir.Block, sc *blockScratch) bool {
+func (sc *blockScratch) scheduleBlock(f *ir.Func, b *ir.Block) bool {
 	n := len(b.Instrs)
 	if n <= 2 {
 		return false
@@ -104,6 +188,7 @@ func scheduleBlock(f *ir.Func, b *ir.Block, sc *blockScratch) bool {
 	body := b.Instrs[:n-1] // keep the terminator last
 	term := b.Instrs[n-1]
 	sc.prepare(len(body))
+	st := sc.instr
 
 	// Build the dependence DAG. Edge lists may hold duplicates (one pair
 	// can be related by several hazards at once); every duplicate counts on
@@ -113,9 +198,13 @@ func scheduleBlock(f *ir.Func, b *ir.Block, sc *blockScratch) bool {
 	addDep := func(from, to int) {
 		if from != to {
 			sc.succs[from] = append(sc.succs[from], int32(to))
-			sc.indeg[to]++
+			st[to].indeg++
 		}
 	}
+	// maxUses bounds how many operands of one instruction can read the
+	// same register, so a register with more remaining uses than that dies
+	// at none of its readers.
+	maxUses := int32(0)
 	lastBarrier := -1
 	for i, in := range body {
 		// Calls are full scheduling barriers: they clobber caller-saved
@@ -128,29 +217,50 @@ func scheduleBlock(f *ir.Func, b *ir.Block, sc *blockScratch) bool {
 		} else if lastBarrier >= 0 {
 			addDep(lastBarrier, i)
 		}
-		for _, u := range in.Uses {
-			if d, ok := sc.lastDef[u]; ok {
+		maxUses = max(maxUses, int32(len(in.Uses)))
+		for k, u := range in.Uses {
+			s := sc.slot(u)
+			if d := sc.lastDef[s]; d >= 0 {
 				addDep(int(d), i) // RAW
 			}
-			head, ok := sc.useHead[u]
-			if !ok {
-				head = -1
-			}
-			sc.useNext = append(sc.useNext, head)
+			sc.useNext = append(sc.useNext, sc.useHead[s])
 			sc.useInstr = append(sc.useInstr, int32(i))
-			sc.useHead[u] = int32(len(sc.useNext) - 1)
+			sc.useHead[s] = int32(len(sc.useNext) - 1)
+			if !u.IsVirt() {
+				continue
+			}
+			l := sc.local[s]
+			if l < 0 {
+				l = int32(len(sc.rem))
+				sc.local[s] = l
+				sc.rem = append(sc.rem, 0)
+				sc.isFP = append(sc.isFP, f.VRegs[s].Class == ir.ClassFP)
+				sc.userHead = append(sc.userHead, -1)
+			}
+			sc.rem[l]++
+			if !repeated(in.Uses, k) {
+				sc.userNext = append(sc.userNext, sc.userHead[l])
+				sc.userInstr = append(sc.userInstr, int32(i))
+				sc.userHead[l] = int32(len(sc.userNext) - 1)
+			}
 		}
 		for _, d := range in.Defs {
-			if pd, ok := sc.lastDef[d]; ok {
+			s := sc.slot(d)
+			if pd := sc.lastDef[s]; pd >= 0 {
 				addDep(int(pd), i) // WAW
 			}
-			if head, ok := sc.useHead[d]; ok {
-				for node := head; node >= 0; node = sc.useNext[node] {
-					addDep(int(sc.useInstr[node]), i) // WAR
-				}
-				delete(sc.useHead, d)
+			for node := sc.useHead[s]; node >= 0; node = sc.useNext[node] {
+				addDep(int(sc.useInstr[node]), i) // WAR
 			}
-			sc.lastDef[d] = int32(i)
+			sc.useHead[s] = -1
+			sc.lastDef[s] = int32(i)
+			if d.IsVirt() {
+				if f.VRegs[s].Class == ir.ClassFP {
+					st[i].defFP++
+				} else {
+					st[i].defGPR++
+				}
+			}
 		}
 		if isMem(in.Op) {
 			for _, m := range sc.memOps {
@@ -165,95 +275,61 @@ func scheduleBlock(f *ir.Func, b *ir.Block, sc *blockScratch) bool {
 	// Uses remaining per register: a def whose last use is scheduled frees
 	// a register; scheduling a def opens one. Greedy choice: among ready
 	// instructions pick the one minimizing net FP live growth, then net
-	// GPR growth, then original order (stability).
-	for _, in := range body {
-		for _, u := range in.Uses {
-			if u.IsVirt() {
-				sc.remUses[u]++
-			}
-		}
-	}
-	ready := sc.ready
+	// GPR growth, then original order (stability). That key is a total
+	// order, so a heap picks exactly the minimum a linear scan would.
+	//
+	// Scores are cached. An instruction's score changes only when one of
+	// its registers can start or stop dying there, i.e. when the register's
+	// remaining-use count moves while at most maxUses; the ready readers of
+	// such a register are re-scored on the spot, so every cached score in
+	// the heap is always current.
 	for i := range body {
-		if sc.indeg[i] == 0 {
-			ready = append(ready, int32(i))
+		st[i].pos = notReady
+		if st[i].indeg == 0 {
+			sc.score(body, int32(i))
+			sc.push(int32(i))
 		}
 	}
-	score := func(i int32) (fpDelta, gprDelta int) {
-		in := body[i]
-		for _, d := range in.Defs {
-			if !d.IsVirt() {
-				continue
-			}
-			if f.RegClass(d) == ir.ClassFP {
-				fpDelta++
-			} else {
-				gprDelta++
+	for len(sc.heap) > 0 {
+		best := sc.pop()
+		sc.order = append(sc.order, best)
+		uses := body[best].Uses
+		for _, u := range uses {
+			if u.IsVirt() {
+				sc.rem[sc.local[u.VirtIndex()]]--
 			}
 		}
-		// A register dies here if this instruction holds all its remaining
-		// uses. Occurrences are counted inline over the (tiny) operand list
-		// — so x*x kills x correctly — processing each distinct register at
-		// its first position only.
-		uses := in.Uses
 		for k, u := range uses {
-			if !u.IsVirt() {
+			if !u.IsVirt() || repeated(uses, k) {
 				continue
 			}
-			cnt := int32(0)
-			dup := false
-			for k2, u2 := range uses {
-				if u2 != u {
-					continue
-				}
-				if k2 < k {
-					dup = true
-					break
-				}
-				cnt++
-			}
-			if dup || sc.remUses[u] != cnt {
+			l := sc.local[u.VirtIndex()]
+			if sc.rem[l] > maxUses {
 				continue
 			}
-			if f.RegClass(u) == ir.ClassFP {
-				fpDelta--
-			} else {
-				gprDelta--
+			for node := sc.userHead[l]; node >= 0; node = sc.userNext[node] {
+				j := sc.userInstr[node]
+				if st[j].pos < 0 {
+					continue // not ready yet (scored on release) or scheduled
+				}
+				fp, gpr := st[j].fp, st[j].gpr
+				sc.score(body, j)
+				if st[j].fp != fp || st[j].gpr != gpr {
+					sc.fix(int(st[j].pos))
+				}
 			}
 		}
-		return
+		// Successor lists are sorted by construction; the heap makes the
+		// release order irrelevant anyway.
+		for _, s := range sc.succs[best] {
+			st[s].indeg--
+			if st[s].indeg == 0 {
+				sc.score(body, s)
+				sc.push(s)
+			}
+		}
 	}
 	order := sc.order
-	for len(ready) > 0 {
-		best, bi := ready[0], 0
-		bf, bg := score(best)
-		for k := 1; k < len(ready); k++ {
-			cand := ready[k]
-			cf2, cg := score(cand)
-			if cf2 < bf || (cf2 == bf && cg < bg) ||
-				(cf2 == bf && cg == bg && cand < best) {
-				best, bi, bf, bg = cand, k, cf2, cg
-			}
-		}
-		ready = append(ready[:bi], ready[bi+1:]...)
-		order = append(order, best)
-		for _, u := range body[best].Uses {
-			if u.IsVirt() {
-				sc.remUses[u]--
-			}
-		}
-		// Successor lists are sorted by construction, and a node reaches
-		// indeg zero at the last duplicate of its last releasing edge —
-		// last duplicates appear in ascending target order, so nodes enter
-		// the ready list exactly as the earlier sorted-unique release did.
-		for _, s := range sc.succs[best] {
-			sc.indeg[s]--
-			if sc.indeg[s] == 0 {
-				ready = append(ready, s)
-			}
-		}
-	}
-	sc.ready, sc.order = ready[:0], order
 	if len(order) != len(body) {
 		// Cycle (cannot happen with a well-formed DAG); keep original.
 		return false
@@ -276,6 +352,126 @@ func scheduleBlock(f *ir.Func, b *ir.Block, sc *blockScratch) bool {
 	}
 	b.Instrs = append(newBody, term)
 	return true
+}
+
+// repeated reports whether uses[k] also appears earlier in uses.
+func repeated(uses []ir.Reg, k int) bool {
+	for _, u := range uses[:k] {
+		if u == uses[k] {
+			return true
+		}
+	}
+	return false
+}
+
+// score recomputes instruction i's cached (fp, gpr) score: its virtual
+// definitions open registers, and a register dies here if this
+// instruction holds all its remaining uses. Occurrences are counted inline
+// over the (tiny) operand list — so x*x kills x correctly — processing
+// each distinct register at its first position only.
+func (sc *blockScratch) score(body []*ir.Instr, i int32) {
+	sc.evals++
+	st := &sc.instr[i]
+	fp, gpr := st.defFP, st.defGPR
+	uses := body[i].Uses
+	for k, u := range uses {
+		if !u.IsVirt() || repeated(uses, k) {
+			continue
+		}
+		cnt := int32(1)
+		for _, u2 := range uses[k+1:] {
+			if u2 == u {
+				cnt++
+			}
+		}
+		l := sc.local[u.VirtIndex()]
+		if sc.rem[l] != cnt {
+			continue
+		}
+		if sc.isFP[l] {
+			fp--
+		} else {
+			gpr--
+		}
+	}
+	st.fp, st.gpr = fp, gpr
+}
+
+// The ready set is a binary min-heap of instruction indexes on (fp, gpr,
+// index); instrState.pos tracks each member's position so a re-scored
+// member can be fixed in place.
+
+func (sc *blockScratch) less(a, b int32) bool {
+	x, y := &sc.instr[a], &sc.instr[b]
+	if x.fp != y.fp {
+		return x.fp < y.fp
+	}
+	if x.gpr != y.gpr {
+		return x.gpr < y.gpr
+	}
+	return a < b
+}
+
+func (sc *blockScratch) swap(i, j int) {
+	h := sc.heap
+	h[i], h[j] = h[j], h[i]
+	sc.instr[h[i]].pos = int32(i)
+	sc.instr[h[j]].pos = int32(j)
+}
+
+func (sc *blockScratch) push(i int32) {
+	sc.heap = append(sc.heap, i)
+	sc.instr[i].pos = int32(len(sc.heap) - 1)
+	sc.up(len(sc.heap) - 1)
+}
+
+func (sc *blockScratch) pop() int32 {
+	n := len(sc.heap) - 1
+	sc.swap(0, n)
+	sc.down(0, n)
+	top := sc.heap[n]
+	sc.heap = sc.heap[:n]
+	sc.instr[top].pos = scheduled
+	return top
+}
+
+// fix restores heap order after the member at position j changed score.
+func (sc *blockScratch) fix(j int) {
+	if !sc.down(j, len(sc.heap)) {
+		sc.up(j)
+	}
+}
+
+func (sc *blockScratch) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if !sc.less(sc.heap[j], sc.heap[i]) {
+			break
+		}
+		sc.swap(i, j)
+		j = i
+	}
+}
+
+// down sifts position i0 down within the first n members and reports
+// whether it moved.
+func (sc *blockScratch) down(i0, n int) bool {
+	i := i0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && sc.less(sc.heap[j2], sc.heap[j]) {
+			j = j2
+		}
+		if !sc.less(sc.heap[j], sc.heap[i]) {
+			break
+		}
+		sc.swap(i, j)
+		i = j
+	}
+	return i > i0
 }
 
 // MustPrecede reports whether an instruction pair (a textually before b in

@@ -1,11 +1,13 @@
 package sched
 
 import (
+	"math/rand"
 	"testing"
 
 	"prescount/internal/cfg"
 	"prescount/internal/ir"
 	"prescount/internal/liveness"
+	"prescount/internal/workload"
 )
 
 // opSequence extracts the opcode list of a block.
@@ -187,5 +189,71 @@ func TestSmallBlocksUntouched(t *testing.T) {
 	st := Run(f)
 	if st.Reordered != 0 {
 		t.Errorf("tiny block reordered")
+	}
+}
+
+// TestScheduleMatchesReference pins the incremental scheduler to the
+// re-score-everything oracle of sched_ref_test.go: identical Stats and
+// identical printed output on every suite function and a seeded random
+// draw of 64..1000-instruction functions.
+func TestScheduleMatchesReference(t *testing.T) {
+	var funcs []*ir.Func
+	for _, s := range []*workload.Suite{workload.SPECfp(), workload.CNN(), workload.DSAOP()} {
+		for _, p := range s.Programs {
+			funcs = append(funcs, p.Funcs()...)
+		}
+	}
+	rng := rand.New(rand.NewSource(14))
+	for i := 0; i < 200; i++ {
+		funcs = append(funcs, workload.RandomSized(rng.Int63(), 64+rng.Intn(1000-64+1)))
+	}
+	for _, f := range funcs {
+		got, want := f.Clone(), f.Clone()
+		gs, ws := Run(got), refRun(want)
+		if gs != ws {
+			t.Fatalf("%s: Stats = %+v, reference %+v", f.Name, gs, ws)
+		}
+		if ir.Print(got) != ir.Print(want) {
+			t.Fatalf("%s: scheduled output differs from the reference", f.Name)
+		}
+	}
+}
+
+// TestScoreEvaluationsLinear schedules one wide ~4,000-instruction block —
+// hundreds of independent load, FMA, multiply and store chains sharing a base
+// register, written loads first so the ready set holds hundreds of loads
+// on every pick and the scheduler interleaves the chains — and bounds the
+// number of score evaluations by a small multiple of the instruction
+// count. Re-scoring every ready instruction on every pick would take
+// millions.
+func TestScoreEvaluationsLinear(t *testing.T) {
+	bd := ir.NewBuilder("wide")
+	base := bd.IConst(0)
+	acc := bd.FConst(1)
+	const chains = 1000
+	var loaded [chains]ir.Reg
+	for i := range loaded {
+		loaded[i] = bd.FLoad(base, int64(i))
+	}
+	for i := range loaded {
+		x := bd.FMA(loaded[i], loaded[i], acc)
+		y := bd.FMul(x, x)
+		bd.FStore(y, base, int64(chains+i))
+	}
+	bd.Ret()
+	f := bd.Func()
+	n := f.NumInstrs()
+	if n < 4000 {
+		t.Fatalf("kernel has %d instructions, want about 4000", n)
+	}
+	before := ScoreEvals()
+	if st := Run(f); st.Reordered != 1 {
+		t.Fatalf("kernel block not reordered: %+v", st)
+	}
+	const c = 3
+	if evals := ScoreEvals() - before; evals > c*int64(n) {
+		t.Errorf("%d score evaluations for %d instructions, want at most %d", evals, n, c*n)
+	} else {
+		t.Logf("%d score evaluations for %d instructions", evals, n)
 	}
 }

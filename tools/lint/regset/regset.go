@@ -13,6 +13,11 @@
 // (benchmark baselines and assertion scaffolding may build whatever maps
 // they like), and the verify package is deliberately not in the hot set:
 // it runs off the compile path and favors the obvious data structure.
+//
+// The packages in MapFreePkgs are held to a stricter rule: any map keyed by
+// ir.Reg is flagged, whatever its value type. The scheduler keeps all its
+// per-register state in dense tables indexed by VirtIndex; a map lookup per
+// operand was once half of an uncached compile.
 package regset
 
 import (
@@ -26,7 +31,7 @@ import (
 // Analyzer is the regset check.
 var Analyzer = &analysis.Analyzer{
 	Name: "regset",
-	Doc:  "flag map[ir.Reg]bool register sets in hot compile-pipeline packages; use ir.RegSet",
+	Doc:  "flag map[ir.Reg]bool register sets in hot compile-pipeline packages (any map[ir.Reg]T in map-free ones); use ir.RegSet or dense tables",
 	Run:  run,
 }
 
@@ -41,6 +46,11 @@ var HotPkgs = map[string]bool{
 	"prescount/internal/rcg":      true,
 	"prescount/internal/regalloc": true,
 	"prescount/internal/assign":   true,
+}
+
+// MapFreePkgs lists the hot packages where no map may be keyed by ir.Reg.
+var MapFreePkgs = map[string]bool{
+	"prescount/internal/sched": true,
 }
 
 // irPkgPath is the package whose Reg type keys the flagged maps.
@@ -59,7 +69,13 @@ func run(pass *analysis.Pass) error {
 			if !ok {
 				return true
 			}
-			if isRegBoolMap(pass, mt) {
+			switch key, val := regMapShape(pass, mt); {
+			case !key:
+			case MapFreePkgs[pass.Pkg.Path()]:
+				pass.Reportf(mt.Pos(),
+					"map keyed by ir.Reg in map-free package %s: use a dense table indexed by VirtIndex",
+					pass.Pkg.Path())
+			case val:
 				pass.Reportf(mt.Pos(),
 					"map[ir.Reg]bool register set in hot package %s: use ir.RegSet (dense bitset, reused across compiles) instead of a per-call heap map",
 					pass.Pkg.Path())
@@ -70,37 +86,38 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// isRegBoolMap reports whether the map type is map[ir.Reg]bool, preferring
-// type information and falling back to syntax when the expression was not
-// typechecked (e.g. inside a type declaration some checkers skip).
-func isRegBoolMap(pass *analysis.Pass, mt *ast.MapType) bool {
+// regMapShape reports whether the map type is keyed by ir.Reg and whether
+// its value is bool, preferring type information and falling back to
+// syntax when the expression was not typechecked (e.g. inside a type
+// declaration some checkers skip).
+func regMapShape(pass *analysis.Pass, mt *ast.MapType) (regKey, boolVal bool) {
 	if t := pass.TypesInfo.TypeOf(mt); t != nil {
 		m, ok := t.Underlying().(*types.Map)
 		if !ok {
-			return false
+			return false, false
 		}
-		return isIrReg(m.Key()) && isBool(m.Elem())
+		return isIrReg(m.Key()), isBool(m.Elem())
 	}
 	// Syntactic fallback: key spelled ir.Reg (or any package alias resolving
 	// to the ir package), value spelled bool.
 	sel, ok := mt.Key.(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "Reg" {
-		return false
+		return false, false
 	}
 	pkgID, ok := sel.X.(*ast.Ident)
 	if !ok {
-		return false
+		return false, false
 	}
 	if obj, ok := pass.TypesInfo.Uses[pkgID]; ok {
 		pn, ok := obj.(*types.PkgName)
 		if !ok || pn.Imported().Path() != irPkgPath {
-			return false
+			return false, false
 		}
 	} else if pkgID.Name != "ir" {
-		return false
+		return false, false
 	}
 	val, ok := mt.Value.(*ast.Ident)
-	return ok && val.Name == "bool"
+	return true, ok && val.Name == "bool"
 }
 
 // isIrReg reports whether t is the named type prescount/internal/ir.Reg.

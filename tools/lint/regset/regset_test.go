@@ -58,12 +58,25 @@ type state struct {
 		},
 		{
 			name: "other-value-type-benign",
-			src: `package sched
+			pkg:  "prescount/internal/regalloc",
+			src: `package regalloc
 import "prescount/internal/ir"
 func f() map[ir.Reg]int {
 	return map[ir.Reg]int{}
 }`,
 			want: 0,
+		},
+		{
+			name: "map-free-package-any-value-flagged",
+			src: `package sched
+import "prescount/internal/ir"
+type blockScratch struct {
+	lastDef map[ir.Reg]int32
+}
+func f() map[ir.Reg][]int32 {
+	return make(map[ir.Reg][]int32)
+}`,
+			want: 3, // field + result type + make
 		},
 		{
 			name: "other-key-type-benign",
